@@ -10,7 +10,6 @@
 //                      [--trace FILE] [--metrics FILE] [--metrics-wall]
 //                      [--checkpoint FILE] [--checkpoint-every N]
 //                      [--resume FILE] [--halt-after-rounds N]
-//                      [--workers N] [--worker-restart-budget N]
 //                      [--flag-table]
 //
 //   --scale S        population scale, 0 < S <= 1 (default 0.05)
@@ -21,7 +20,7 @@
 //                    over it as usual, and one measured outcome table per
 //                    spec is printed after the results (default:
 //                    SPFAIL_SCENARIO). Scenario outcomes are bit-identical
-//                    at any thread/worker count and across halt/resume;
+//                    at any thread count and across halt/resume;
 //                    `--scenario baseline` is byte-identical to no flag
 //   --flag-table     print the generated markdown flag table (the README's
 //                    "Flags" section) and exit
@@ -72,18 +71,6 @@
 //   --halt-after-rounds N
 //                    stop after N longitudinal rounds, writing a final
 //                    checkpoint (requires --checkpoint); exit code 0
-//   --workers N      distribute the scan over N crash-isolated worker
-//                    processes (DESIGN.md §15; requires --checkpoint). A
-//                    worker that dies — killed, crashed, or hung — is
-//                    respawned from its per-worker checkpoint; the finished
-//                    run's stdout, CSVs, trace, and metrics are
-//                    byte-identical to --workers 1 (default: SPFAIL_WORKERS,
-//                    else 1)
-//   --worker-restart-budget N
-//                    respawns allowed per worker before it is abandoned and
-//                    its remaining work marked inconclusive (default:
-//                    SPFAIL_WORKER_RESTART_BUDGET, else 3); a degradation
-//                    table is printed when a worker was abandoned
 //
 // SIGINT/SIGTERM are caught: the run stops at the next round boundary,
 // writes a final checkpoint when --checkpoint is set, and exits with code
@@ -131,16 +118,6 @@ void emit_trace(const std::string& path, const net::WireTrace& trace) {
   trace.write_jsonl(out);
   std::cout << "\n" << report::trace_summary(net::TraceStats::from(trace))
             << "\n  wrote " << path << " (" << trace.size() << " frames)\n";
-}
-
-// Print the distributed-scan degradation table — only when a worker was
-// actually abandoned, so fully recovered runs keep byte-identical stdout.
-void emit_dist_report(session::ScanSession& session) {
-  dist::Coordinator* coordinator = session.coordinator();
-  if (coordinator == nullptr) return;
-  const dist::DistReport report = coordinator->report();
-  if (report.abandoned_count() == 0) return;
-  std::cout << "\n" << report.summary();
 }
 
 // Print the per-scenario outcome tables (--scenario). Reports that measured
@@ -200,7 +177,6 @@ int run(const session::ScanConfig& config) {
     }
     if (session.trace()) emit_trace(config.trace_path, *session.trace());
     if (session.metrics() != nullptr) emit_metrics(session);
-    emit_dist_report(session);
     emit_scenarios(session);
     return 0;
   }
@@ -242,7 +218,6 @@ int run(const session::ScanConfig& config) {
   }
   if (session.trace()) emit_trace(config.trace_path, *session.trace());
   if (session.metrics() != nullptr) emit_metrics(session);
-  emit_dist_report(session);
   emit_scenarios(session);
 
   if (!config.csv_dir.empty()) {

@@ -128,9 +128,8 @@ Study::ObserveSliceResult Study::run_observe_slice(
   std::optional<obs::MetricsLane> metrics_lane;
   if (ctx.metrics) metrics_lane.emplace(out.metrics);
   // Label slots are a pure function of construction seed + slot + suite, so
-  // the slice builds its own allocator — a dist worker has no access to the
-  // coordinator's replayed State::labels instance, and the local pool path
-  // produces identical labels through the same constructor arguments.
+  // an allocator built from State::labels' constructor arguments yields the
+  // same names without sharing that instance across threads.
   const scan::LabelAllocator labels(util::Rng(config_.seed ^ 0x1ABE15),
                                     fleet_.responder().base);
   scan::ProberConfig prober_config;
@@ -145,35 +144,6 @@ Study::ObserveSliceResult Study::run_observe_slice(
                                           ctx.fault_round, out.deg));
   }
   out.advance = clock_lane.offset();
-  return out;
-}
-
-Study::ObserveSliceResult Study::run_observe_slice_scheduled(
-    std::span<const ObserveJob> jobs, const ObserveContext& ctx,
-    util::ThreadPool& pool) {
-  const std::size_t slices = pool.slice_count(jobs.size(), config_.sched);
-  if (slices <= 1) return run_observe_slice(jobs, ctx);
-  std::vector<ObserveSliceResult> parts(slices);
-  pool.parallel_for_slices(
-      jobs.size(), config_.sched,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        parts[slice] = run_observe_slice(jobs.subspan(begin, end - begin),
-                                         ctx);
-      });
-  // Fold in batch (job) order into one result indistinguishable from a
-  // serial run_observe_slice over the whole span; the shared clock stays
-  // untouched — the caller merges the summed advance.
-  ObserveSliceResult out;
-  out.results.reserve(jobs.size());
-  for (auto& part : parts) {
-    out.results.insert(out.results.end(), part.results.begin(),
-                       part.results.end());
-    out.log.splice(std::move(part.log));
-    out.advance += part.advance;
-    out.deg.merge(part.deg);
-    out.trace.splice(std::move(part.trace));
-    out.metrics.merge(part.metrics);
-  }
   return out;
 }
 
@@ -193,20 +163,16 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
   ctx.tracing = config_.trace != nullptr;
   ctx.metrics = config_.metrics != nullptr;
 
-  std::vector<ObserveSliceResult> slices;
-  if (config_.dist != nullptr) {
-    slices = config_.dist->run_observe(*this, jobs, ctx);
-  } else {
-    util::ThreadPool& pool = *state.pool;
-    slices.resize(pool.slice_count(jobs.size(), config_.sched));
-    pool.parallel_for_slices(
-        jobs.size(), config_.sched,
-        [&](std::size_t slice, std::size_t begin, std::size_t end) {
-          slices[slice] = run_observe_slice(
-              std::span<const ObserveJob>(jobs).subspan(begin, end - begin),
-              ctx);
-        });
-  }
+  util::ThreadPool& pool = *state.pool;
+  std::vector<ObserveSliceResult> slices(
+      pool.slice_count(jobs.size(), config_.sched));
+  pool.parallel_for_slices(
+      jobs.size(), config_.sched,
+      [&](std::size_t slice, std::size_t begin, std::size_t end) {
+        slices[slice] = run_observe_slice(
+            std::span<const ObserveJob>(jobs).subspan(begin, end - begin),
+            ctx);
+      });
 
   util::SimTime total_advance = 0;
   std::size_t offset = 0;
@@ -225,11 +191,7 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
 
 void Study::derive_from_initial(State& state) {
   StudyReport& report = state.report;
-  // In distributed mode every batch runs in worker processes; a live thread
-  // pool would only add fork-unsafe threads to the coordinator.
-  if (config_.dist == nullptr) {
-    state.pool = std::make_unique<util::ThreadPool>(config_.threads);
-  }
+  state.pool = std::make_unique<util::ThreadPool>(config_.threads);
 
   // Everything downstream walks outcomes in ascending address order: label
   // slots, RNG draw order, and report assembly all key off these positions.
@@ -349,7 +311,6 @@ Study::State Study::begin() {
   campaign_config.retry = config_.retry;
   campaign_config.trace = config_.trace;
   campaign_config.metrics = config_.metrics;
-  campaign_config.runner = config_.dist;
   scan::Campaign campaign(campaign_config, fleet_.dns(), fleet_.clock(),
                           fleet_);
   // Streaming target source: the round never materialises a TargetDomain
@@ -619,29 +580,15 @@ snapshot::StudySnapshot Study::capture(const State& state) const {
   }
   // Hosts the continued run can still probe carry scanner-visible state of
   // their own (greylist first-contact map, flaky-path RNG cursor); capture
-  // it so restore() can put the rebuilt hosts mid-conversation. In
-  // distributed mode a host's probe residue lives in the worker process that
-  // owns its address range, so the coordinator gathers it over the wire.
-  std::vector<util::IpAddress> residue_addresses;
-  residue_addresses.reserve(state.vulnerable_addresses.size() +
-                            state.remeasurable.size());
-  for (const auto& address : state.vulnerable_addresses) {
-    residue_addresses.push_back(address);
-  }
-  for (const auto& [address, slot] : state.remeasurable) {
-    residue_addresses.push_back(address);
-  }
-  if (config_.dist != nullptr) {
-    for (auto& hs : config_.dist->capture_hosts(residue_addresses)) {
-      if (hs.has_value()) snap.hosts.push_back(std::move(*hs));
-    }
-  } else {
-    for (const auto& address : residue_addresses) {
-      const mta::MailHost* host = fleet_.find_host(address);
-      if (host == nullptr) continue;
+  // it so restore() can put the rebuilt hosts mid-conversation.
+  const auto capture_host = [&](const util::IpAddress& address) {
+    const mta::MailHost* host = fleet_.find_host(address);
+    if (host != nullptr) {
       snap.hosts.push_back(snapshot::capture_host_state(address, *host));
     }
-  }
+  };
+  for (const auto& address : state.vulnerable_addresses) capture_host(address);
+  for (const auto& [address, slot] : state.remeasurable) capture_host(address);
   if (config_.trace != nullptr) snap.trace = config_.trace->frames();
   if (config_.metrics != nullptr) {
     snap.has_metrics = true;

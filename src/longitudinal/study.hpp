@@ -29,13 +29,10 @@
 #include "population/fleet.hpp"
 #include "scan/campaign.hpp"
 #include "scan/probe_engine.hpp"
-#include "scan/shard_runner.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spfail::longitudinal {
-
-class DistHooks;
 
 struct StudyConfig {
   std::uint64_t seed = 20211011;
@@ -81,14 +78,6 @@ struct StudyConfig {
   // books its own gauges/counters directly. Rides in capture()/restore() so
   // a resumed run's metric output is byte-identical. Not owned; null = off.
   obs::Registry* metrics = nullptr;
-
-  // Distributed execution hooks (DESIGN.md §15): when set, every parallel
-  // batch — the initial campaign's waves and each longitudinal observation
-  // batch — is handed to the coordinator instead of the thread pool, and
-  // host residue capture goes through it too. The serial control plane (loss
-  // RNG, breaker, patch events, roll-ups) always stays in this process. Not
-  // owned; null = single-process.
-  DistHooks* dist = nullptr;
 };
 
 // Which domain set a series or total refers to.
@@ -150,50 +139,6 @@ struct StudyReport {
 class Study {
  public:
   Study(population::Fleet& fleet, StudyConfig config = {});
-
-  // One longitudinal observation to run: which address, which test kind, and
-  // the address's stable label slot (master index doubled).
-  struct ObserveJob {
-    util::IpAddress address;
-    scan::TestKind kind = scan::TestKind::NoMsg;
-    std::uint64_t slot = 0;
-  };
-
-  // Round-scoped parameters of one observation batch, decided serially
-  // before the batch fans out.
-  struct ObserveContext {
-    std::string suite;
-    std::uint64_t fault_round = 0;
-    bool tracing = false;
-    bool metrics = false;
-  };
-
-  // Everything one observation slice produces; merged like a campaign wave
-  // slice (advances sum, logs splice in order, traces splice by lane).
-  struct ObserveSliceResult {
-    std::vector<Observation> results;  // in job order for the slice
-    dns::QueryLog log;
-    util::SimTime advance = 0;
-    faults::DegradationReport deg;
-    net::WireTrace trace;
-    obs::Registry metrics;
-  };
-
-  // Execute one contiguous observation slice — the exact work of one pool
-  // shard. Self-contained (builds its own label allocator from the study
-  // seed; indexed_mail_from is a pure function of construction seed + slot),
-  // so a dist worker can run it without the coordinator's State.
-  ObserveSliceResult run_observe_slice(std::span<const ObserveJob> jobs,
-                                       const ObserveContext& ctx);
-
-  // Scheduler-driven variant (DESIGN.md §16): split the slice into batches
-  // on `pool` under config_.sched and merge the per-batch results — in batch
-  // (job) order — into ONE slice result identical to a serial
-  // run_observe_slice call. A dist worker routes its assigned slice through
-  // this, so in-worker execution also exercises the work-stealing scheduler.
-  ObserveSliceResult run_observe_slice_scheduled(
-      std::span<const ObserveJob> jobs, const ObserveContext& ctx,
-      util::ThreadPool& pool);
 
   // Everything the study loop carries between round boundaries. Built by
   // begin() or restore(); advanced by run_round(); consumed by finish().
@@ -267,6 +212,34 @@ class Study {
   static bool in_cohort(const population::DomainRecord& domain, Cohort cohort);
 
  private:
+  // One longitudinal observation to run: which address, which test kind, and
+  // the address's stable label slot (master index doubled).
+  struct ObserveJob {
+    util::IpAddress address;
+    scan::TestKind kind = scan::TestKind::NoMsg;
+    std::uint64_t slot = 0;
+  };
+
+  // Round-scoped parameters of one observation batch, decided serially
+  // before the batch fans out.
+  struct ObserveContext {
+    std::string suite;
+    std::uint64_t fault_round = 0;
+    bool tracing = false;
+    bool metrics = false;
+  };
+
+  // Everything one observation slice produces; merged like a campaign wave
+  // slice (advances sum, logs splice in order, traces splice by lane).
+  struct ObserveSliceResult {
+    std::vector<Observation> results;  // in job order for the slice
+    dns::QueryLog log;
+    util::SimTime advance = 0;
+    faults::DegradationReport deg;
+    net::WireTrace trace;
+    obs::Registry metrics;
+  };
+
   // One longitudinal observation of `address`, run on the calling worker's
   // prober via the shared ProbeEngine. `slot` is the address's stable master
   // index doubled: the first attempt uses label slot `slot`, every retry
@@ -281,6 +254,11 @@ class Study {
                               const std::string& suite, std::uint64_t slot,
                               std::uint64_t fault_round,
                               faults::DegradationReport& deg);
+
+  // Execute one contiguous observation slice — the exact work of one pool
+  // shard, on private clock, query-log, trace and metrics lanes.
+  ObserveSliceResult run_observe_slice(std::span<const ObserveJob> jobs,
+                                       const ObserveContext& ctx);
 
   // Shard one job batch over the state's pool (per-worker clock, query-log,
   // degradation, and trace lanes; deterministic merge).
@@ -300,27 +278,6 @@ class Study {
   faults::RetryPolicy retry_;
   scan::ProbeEngine engine_;
   std::vector<util::SimTime> round_times_;
-};
-
-// The seam the distributed coordinator implements (DESIGN.md §15). It is a
-// campaign ShardRunner plus the two study-specific operations: observation
-// batches and host-residue capture (checkpoints need residues that live in
-// worker processes). Implementations receive the same Study/Campaign object
-// that would have run the work locally and must return slices that merge to
-// the identical result.
-class DistHooks : public scan::ShardRunner {
- public:
-  // Execute a longitudinal observation batch; returned slices concatenate to
-  // the job list, in job order.
-  virtual std::vector<Study::ObserveSliceResult> run_observe(
-      Study& study, std::span<const Study::ObserveJob> jobs,
-      const Study::ObserveContext& ctx) = 0;
-
-  // Collect canonical host residue (snapshot::capture_host_state) for the
-  // given addresses, in input order; an address with no live host yields no
-  // entry for that position — the result marks presence per address.
-  virtual std::vector<std::optional<snapshot::StudySnapshot::HostState>>
-  capture_hosts(const std::vector<util::IpAddress>& addresses) = 0;
 };
 
 }  // namespace spfail::longitudinal

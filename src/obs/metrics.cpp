@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -52,14 +53,14 @@ std::int64_t Histogram::quantile(double q) const {
   const auto target =
       (count_ * static_cast<std::uint64_t>(q * 1000000.0) + 999999) / 1000000;
   const auto rank = target == 0 ? 1 : target;
+  // A bucket's bound can lie above every value in it; clamping to the exact
+  // max keeps a reported quantile from contradicting the reported max.
   std::uint64_t seen = 0;
-  for (int i = 0; i < kBucketCount; ++i) {
+  for (int i = 0; i < kBucketCount - 1; ++i) {
     seen += buckets_[static_cast<std::size_t>(i)];
-    if (seen >= rank) {
-      return i == kBucketCount - 1 ? max_ : bucket_bound(i);
-    }
+    if (seen >= rank) return std::min(bucket_bound(i), max_);
   }
-  return max_;
+  return max_;  // the +Inf bucket has no finite bound
 }
 
 void Histogram::merge(const Histogram& other) {

@@ -68,8 +68,9 @@ class Histogram {
   }
 
   // Deterministic quantile: the upper bound of the first bucket whose
-  // cumulative count reaches q of the total (the exact observed max for the
-  // overflow bucket, which has no finite bound). 0 when empty.
+  // cumulative count reaches q of the total, clamped to max() so it never
+  // exceeds the observed max (the overflow bucket, which has no finite
+  // bound, reports the max itself). 0 when empty.
   std::int64_t quantile(double q) const;
 
   void merge(const Histogram& other);

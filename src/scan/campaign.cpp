@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "obs/lane.hpp"
-#include "scan/shard_runner.hpp"
 #include "util/concurrent_table.hpp"
 #include "util/intern.hpp"
 #include "util/rng.hpp"
@@ -472,22 +471,14 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   report.degradation.configured_rate = plan_.config().rate;
 
   // The worker pool comes first: the concurrent dedupe below runs on it.
-  // Fork safety (DESIGN.md §15): when a ShardRunner is attached the
-  // coordinator forks workers, so no pool — and no threads at all — may
-  // exist in this process; every parallel phase then takes its serial path.
-  std::optional<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = config_.pool;
-  if (config_.runner == nullptr && pool == nullptr) {
-    owned_pool.emplace(config_.threads);
-    pool = &*owned_pool;
-  }
+  util::ThreadPool pool(config_.threads);
 
   // 1. Deduplicate addresses, remembering a recipient domain for each (the
   //    first domain that listed the address — used for RCPT TO). Domain names
   //    are interned once (DESIGN.md §14): the dedupe carries a 4-byte Symbol
-  //    per address instead of a heap string copy. With a pool, the dedupe
-  //    races CAS-min claims through a lock-free table (DESIGN.md §16) —
-  //    byte-identical to the serial walk.
+  //    per address instead of a heap string copy. The dedupe races CAS-min
+  //    claims through a lock-free table (DESIGN.md §16) — byte-identical to
+  //    the serial walk, which it falls back to if the table fills.
   //
   //    The result is the master work list, in ascending address order.
   //    Slices are contiguous runs of this list, so every address (and with
@@ -497,13 +488,9 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   //    the position in this list, never from allocation order.
   util::Interner recipients;  // outlives every item view below
   std::vector<WaveItem> items;
-  if (pool != nullptr) {
-    try {
-      items = dedupe_concurrent(targets, recipients, *pool, config_.sched);
-    } catch (const util::TableFullError&) {
-      items = dedupe_serial(targets, recipients);
-    }
-  } else {
+  try {
+    items = dedupe_concurrent(targets, recipients, pool, config_.sched);
+  } catch (const util::TableFullError&) {
     items = dedupe_serial(targets, recipients);
   }
 
@@ -522,19 +509,15 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   ctx.tracing = config_.trace != nullptr;
   ctx.metrics = config_.metrics != nullptr;
 
-  std::vector<WaveSliceResult> slices;
-  if (config_.runner != nullptr) {
-    slices = config_.runner->run_wave(*this, items, ctx);
-  } else {
-    slices.resize(pool->slice_count(items.size(), config_.sched));
-    pool->parallel_for_slices(
-        items.size(), config_.sched,
-        [&](std::size_t slice, std::size_t begin, std::size_t end) {
-          slices[slice] = run_wave_slice(
-              std::span<const WaveItem>(items).subspan(begin, end - begin),
-              begin, ctx);
-        });
-  }
+  std::vector<WaveSliceResult> slices(
+      pool.slice_count(items.size(), config_.sched));
+  pool.parallel_for_slices(
+      items.size(), config_.sched,
+      [&](std::size_t slice, std::size_t begin, std::size_t end) {
+        slices[slice] = run_wave_slice(
+            std::span<const WaveItem>(items).subspan(begin, end - begin),
+            begin, ctx);
+      });
 
   // Merge: fold lane clocks back into the shared one (the sum reproduces the
   // serial advance), drain lane query logs in slice — i.e. address — order,
@@ -568,12 +551,11 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   // come from the complete merged wave results, so the decision (and with it
   // the whole report) is independent of the thread count.
   if (plan_.enabled()) {
-    // Per-group tested/transient tallies. With a pool they accumulate
-    // through a lock-free table of atomic counters (DESIGN.md §16) — the
-    // group key IS the u64 table key, so no wide-key verify is needed, and
-    // sums are order-free, so the steal schedule is invisible. The serial
-    // fallback (runner attached: no threads may exist pre-fork) computes the
-    // same tallies.
+    // Per-group tested/transient tallies, accumulated through a lock-free
+    // table of atomic counters (DESIGN.md §16) — the group key IS the u64
+    // table key, so no wide-key verify is needed, and sums are order-free,
+    // so the steal schedule is invisible. A full table falls back to the
+    // serial walk, which computes the same tallies.
     std::unordered_map<std::uint64_t, std::pair<std::size_t, std::size_t>>
         group_stats;  // group -> {tested, transient}
     const auto tally_serial = [&] {
@@ -585,38 +567,33 @@ CampaignReport Campaign::run(const TargetSource& targets) {
         if (it->second.pending_transient()) ++stats.second;
       }
     };
-    if (pool != nullptr) {
-      struct GroupStats {
-        std::atomic<std::uint32_t> tested{0};
-        std::atomic<std::uint32_t> transient{0};
-      };
-      util::ConcurrentTable<GroupStats> groups(items.size());
-      try {
-        pool->parallel_for_slices(
-            items.size(), config_.sched,
-            [&](std::size_t, std::size_t begin, std::size_t end) {
-              for (std::size_t i = begin; i < end; ++i) {
-                const auto it = report.addresses.find(items[i].address);
-                if (it == report.addresses.end()) continue;
-                GroupStats* stats =
-                    groups.find_or_insert(provider_group(items[i].address))
-                        .payload;
-                stats->tested.fetch_add(1, std::memory_order_relaxed);
-                if (it->second.pending_transient()) {
-                  stats->transient.fetch_add(1, std::memory_order_relaxed);
-                }
+    struct GroupStats {
+      std::atomic<std::uint32_t> tested{0};
+      std::atomic<std::uint32_t> transient{0};
+    };
+    util::ConcurrentTable<GroupStats> groups(items.size());
+    try {
+      pool.parallel_for_slices(
+          items.size(), config_.sched,
+          [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              const auto it = report.addresses.find(items[i].address);
+              if (it == report.addresses.end()) continue;
+              GroupStats* stats =
+                  groups.find_or_insert(provider_group(items[i].address))
+                      .payload;
+              stats->tested.fetch_add(1, std::memory_order_relaxed);
+              if (it->second.pending_transient()) {
+                stats->transient.fetch_add(1, std::memory_order_relaxed);
               }
-            });
-        groups.for_each([&](std::uint64_t group, const GroupStats& stats) {
-          group_stats[group] = {
-              stats.tested.load(std::memory_order_relaxed),
-              stats.transient.load(std::memory_order_relaxed)};
-        });
-      } catch (const util::TableFullError&) {
-        group_stats.clear();
-        tally_serial();
-      }
-    } else {
+            }
+          });
+      groups.for_each([&](std::uint64_t group, const GroupStats& stats) {
+        group_stats[group] = {stats.tested.load(std::memory_order_relaxed),
+                              stats.transient.load(std::memory_order_relaxed)};
+      });
+    } catch (const util::TableFullError&) {
+      group_stats.clear();
       tally_serial();
     }
     std::unordered_set<std::uint64_t> open_groups;
@@ -656,20 +633,16 @@ CampaignReport Campaign::run(const TargetSource& targets) {
         rq_items.push_back(std::move(item));
       }
 
-      std::vector<RequeueSliceResult> rq_slices;
-      if (config_.runner != nullptr) {
-        rq_slices = config_.runner->run_requeue(*this, rq_items, ctx);
-      } else {
-        rq_slices.resize(pool->slice_count(rq_items.size(), config_.sched));
-        pool->parallel_for_slices(
-            rq_items.size(), config_.sched,
-            [&](std::size_t slice, std::size_t begin, std::size_t end) {
-              rq_slices[slice] = run_requeue_slice(
-                  std::span<const RequeueItem>(rq_items).subspan(begin,
-                                                                 end - begin),
-                  ctx);
-            });
-      }
+      std::vector<RequeueSliceResult> rq_slices(
+          pool.slice_count(rq_items.size(), config_.sched));
+      pool.parallel_for_slices(
+          rq_items.size(), config_.sched,
+          [&](std::size_t slice, std::size_t begin, std::size_t end) {
+            rq_slices[slice] = run_requeue_slice(
+                std::span<const RequeueItem>(rq_items).subspan(begin,
+                                                               end - begin),
+                ctx);
+          });
 
       util::SimTime rq_advance = 0;
       for (auto& slice : rq_slices) {
@@ -748,71 +721,6 @@ CampaignReport Campaign::run(const TargetSource& targets) {
     report.domains.push_back(std::move(domain_outcome));
   });
   return report;
-}
-
-WaveSliceResult Campaign::run_wave_slice_scheduled(
-    std::span<const WaveItem> items, std::size_t base, const WaveContext& ctx,
-    util::ThreadPool& pool) {
-  const std::size_t slices = pool.slice_count(items.size(), config_.sched);
-  if (slices <= 1) return run_wave_slice(items, base, ctx);
-  std::vector<WaveSliceResult> parts(slices);
-  pool.parallel_for_slices(
-      items.size(), config_.sched,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        parts[slice] =
-            run_wave_slice(items.subspan(begin, end - begin), base + begin,
-                           ctx);
-      });
-  // Fold in batch (master) order into one result indistinguishable from a
-  // serial run_wave_slice over the whole span: outcomes concatenate, lane
-  // advances sum (the shared clock stays untouched — the caller merges it),
-  // logs/traces splice, counters merge.
-  WaveSliceResult out;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.outcomes.size();
-  out.outcomes.reserve(total);
-  for (auto& part : parts) {
-    for (auto& outcome : part.outcomes) {
-      out.outcomes.push_back(std::move(outcome));
-    }
-    out.log.splice(std::move(part.log));
-    out.advance += part.advance;
-    out.deg.merge(part.deg);
-    out.wave1.splice(std::move(part.wave1));
-    out.wave2.splice(std::move(part.wave2));
-    out.metrics.merge(part.metrics);
-  }
-  return out;
-}
-
-RequeueSliceResult Campaign::run_requeue_slice_scheduled(
-    std::span<const RequeueItem> items, const WaveContext& ctx,
-    util::ThreadPool& pool) {
-  const std::size_t slices = pool.slice_count(items.size(), config_.sched);
-  if (slices <= 1) return run_requeue_slice(items, ctx);
-  std::vector<RequeueSliceResult> parts(slices);
-  pool.parallel_for_slices(
-      items.size(), config_.sched,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        parts[slice] = run_requeue_slice(items.subspan(begin, end - begin),
-                                         ctx);
-      });
-  RequeueSliceResult out;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.outcomes.size();
-  out.outcomes.reserve(total);
-  for (auto& part : parts) {
-    for (auto& outcome : part.outcomes) {
-      out.outcomes.push_back(std::move(outcome));
-    }
-    out.log.splice(std::move(part.log));
-    out.advance += part.advance;
-    out.deg.merge(part.deg);
-    out.recovered += part.recovered;
-    out.trace.splice(std::move(part.trace));
-    out.metrics.merge(part.metrics);
-  }
-  return out;
 }
 
 CampaignReport Campaign::run_addresses(

@@ -33,8 +33,6 @@
 
 namespace spfail::scan {
 
-class ShardRunner;
-
 // Where to find the simulated host behind an address. Implemented by
 // population::Fleet; kept abstract so the scanner has no population
 // dependency.
@@ -115,8 +113,8 @@ struct AddressOutcome {
 };
 
 // One unit of wave work: an address plus the recipient domain for RCPT TO.
-// The view aliases storage owned by the caller (the campaign's interner, or
-// a dist worker's decoded request) and must outlive the slice call.
+// The view aliases the campaign's recipient interner, which outlives every
+// slice of the round.
 struct WaveItem {
   util::IpAddress address;
   std::string_view recipient;
@@ -197,14 +195,6 @@ struct CampaignConfig {
   // batches and lets idle workers steal them. Byte-identical either way, at
   // any thread count, under any steal schedule.
   util::SchedulerOptions sched;
-  // Optional externally owned pool (the longitudinal study shares one across
-  // all its rounds); when null the campaign creates its own per run.
-  util::ThreadPool* pool = nullptr;
-
-  // Optional slice executor (DESIGN.md §15): when set, the campaign hands
-  // each wave's slices to it instead of the thread pool — the distributed
-  // coordinator plugs in here. Not owned; null = run on threads.
-  ShardRunner* runner = nullptr;
 
   // --- fault injection & resilience (inert at the default rate 0) ---
   faults::FaultConfig faults;
@@ -273,10 +263,10 @@ class Campaign {
   // section 6.1 are restricted to previously vulnerable/inconclusive hosts).
   CampaignReport run_addresses(const std::vector<util::IpAddress>& addresses);
 
+ private:
   // Execute one contiguous wave slice: items[k] is master-order position
-  // base + k. This is the exact work a pool shard does; a ShardRunner calls
-  // it (possibly in another process) to satisfy run_wave. Reentrant across
-  // disjoint slices — all mutable state lives in the result or behind lanes.
+  // base + k — the exact work of one pool slice. Reentrant across disjoint
+  // slices: all mutable state lives in the result or behind lanes.
   WaveSliceResult run_wave_slice(std::span<const WaveItem> items,
                                  std::size_t base, const WaveContext& ctx);
 
@@ -284,21 +274,6 @@ class Campaign {
   RequeueSliceResult run_requeue_slice(std::span<const RequeueItem> items,
                                        const WaveContext& ctx);
 
-  // Scheduler-driven slice execution (DESIGN.md §16): split the slice into
-  // batches on `pool` under config_.sched and merge the per-batch results —
-  // in batch (master) order — back into ONE slice result, indistinguishable
-  // from a serial run_wave_slice call. This is how a distributed worker
-  // routes its whole assigned slice through the work-stealing scheduler
-  // while the coordinator keeps seeing one reply frame per slice.
-  WaveSliceResult run_wave_slice_scheduled(std::span<const WaveItem> items,
-                                           std::size_t base,
-                                           const WaveContext& ctx,
-                                           util::ThreadPool& pool);
-  RequeueSliceResult run_requeue_slice_scheduled(
-      std::span<const RequeueItem> items, const WaveContext& ctx,
-      util::ThreadPool& pool);
-
- private:
   // Adapter over the shared ProbeEngine: builds the ProbeRequest for one
   // test of `outcome`'s address and folds the engine's retry bookkeeping
   // back into the AddressOutcome. Attempt numbers continue across calls via
@@ -320,8 +295,8 @@ class Campaign {
   ProbeEngine engine_;
   // Measurement-round counter: run() bumps it, and it salts the fault-plan
   // key so repeated rounds over the same fleet see fresh fault draws. The
-  // running round's value travels in WaveContext, never in a member — slice
-  // execution must not depend on which process's Campaign instance runs it.
+  // running round's value travels in WaveContext; run() has already bumped
+  // this member by the time its slices execute.
   std::uint64_t next_round_ = 0;
 };
 

@@ -13,8 +13,8 @@
 // of (fleet, spec, options) — receiver choice is an FNV hash of the domain
 // name and flow class over the fleet's sorted receiver list, message bodies
 // are fixed, and the pct= lanes are stateless. Reports are therefore
-// bit-identical across thread counts, schedulers, worker counts, and
-// halt/resume, with no coordination needed.
+// bit-identical across thread counts, schedulers, and halt/resume, with no
+// coordination needed.
 #pragma once
 
 #include <cstdint>

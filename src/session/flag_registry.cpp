@@ -126,16 +126,6 @@ constexpr FlagDef kFlags[] = {
      [](ScanConfig& c, std::string_view what, const char* text) {
        c.halt_after_rounds = parse_int(what, text);
      }},
-    {"--workers", "SPFAIL_WORKERS", "N", "1",
-     "crash-isolated worker processes; > 1 enables distributed scanning",
-     [](ScanConfig& c, std::string_view what, const char* text) {
-       c.workers = parse_int(what, text);
-     }},
-    {"--worker-restart-budget", "SPFAIL_WORKER_RESTART_BUDGET", "N", "3",
-     "respawns granted to a crashed worker before its items are abandoned",
-     [](ScanConfig& c, std::string_view what, const char* text) {
-       c.worker_restart_budget = parse_int(what, text);
-     }},
 };
 
 }  // namespace

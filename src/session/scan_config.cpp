@@ -35,19 +35,6 @@ void ScanConfig::validate() const {
         "--halt-after-rounds requires --checkpoint (halting without writing "
         "a checkpoint would lose the run)");
   }
-  if (workers < 1) {
-    throw ScanConfigError("--workers must be >= 1, got " +
-                          std::to_string(workers));
-  }
-  if (worker_restart_budget < 0) {
-    throw ScanConfigError("--worker-restart-budget must be >= 0, got " +
-                          std::to_string(worker_restart_budget));
-  }
-  if (workers > 1 && checkpoint_path.empty()) {
-    throw ScanConfigError(
-        "--workers > 1 requires --checkpoint (crashed workers respawn from "
-        "per-worker checkpoints stored next to it)");
-  }
   if (metrics_wall && metrics_path.empty()) {
     throw ScanConfigError(
         "--metrics-wall requires --metrics (there is nowhere to write the "

@@ -57,14 +57,6 @@ struct ScanConfig {
   util::SchedPolicy sched = util::SchedPolicy::Auto;
   util::StealMode steal_mode = util::StealMode::Auto;
 
-  // Distributed scanning (DESIGN.md §15). workers > 1 forks that many
-  // crash-isolated worker processes; a worker that dies is respawned from
-  // its checkpoint up to worker_restart_budget times, then abandoned (its
-  // remaining items are marked inconclusive). SPFAIL_WORKERS / --workers,
-  // SPFAIL_WORKER_RESTART_BUDGET / --worker-restart-budget.
-  int workers = 1;
-  int worker_restart_budget = 3;
-
   // Fault injection (SPFAIL_FAULT_SEED / SPFAIL_FAULT_RATE,
   // --fault-seed / --fault-rate).
   faults::FaultConfig faults;
@@ -121,7 +113,7 @@ struct ScanConfig {
   // Environment layer without the final validate() — from_args() defers
   // validation until the command line has been applied, so a flag can
   // legally complete a combination the environment alone would fail (e.g.
-  // SPFAIL_WORKERS=8 in the environment plus --checkpoint on the CLI).
+  // SPFAIL_METRICS_WALL=1 in the environment plus --metrics on the CLI).
   static ScanConfig apply_env(ScanConfig config);
 };
 

@@ -1,6 +1,5 @@
 #include "session/scan_session.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -91,24 +90,7 @@ longitudinal::StudyConfig ScanSession::study_config() {
   study_config.faults = config_.faults;
   study_config.trace = trace();
   study_config.metrics = metrics();
-  study_config.dist = coordinator();
   return study_config;
-}
-
-dist::Coordinator* ScanSession::coordinator() {
-  if (config_.workers <= 1) return nullptr;
-  if (!coordinator_) {
-    dist::Coordinator::Config dist_config;
-    dist_config.workers = static_cast<std::size_t>(config_.workers);
-    dist_config.restart_budget =
-        static_cast<std::uint32_t>(config_.worker_restart_budget);
-    // Per-worker checkpoints live next to the session checkpoint
-    // (<checkpoint>.w<k>); validate() guarantees the path is set.
-    dist_config.checkpoint_stem = config_.checkpoint_path;
-    coordinator_ =
-        std::make_unique<dist::Coordinator>(fleet(), std::move(dist_config));
-  }
-  return coordinator_.get();
 }
 
 void ScanSession::record_metric_line(std::string_view phase, int round) {
@@ -138,17 +120,6 @@ void ScanSession::check_snapshot_strings(const snapshot::StudySnapshot& snap) {
   }
 }
 
-void ScanSession::check_snapshot_workers(const snapshot::StudySnapshot& snap) {
-  const std::uint32_t snap_workers = std::max<std::uint32_t>(snap.workers, 1);
-  if (snap_workers != static_cast<std::uint32_t>(config_.workers)) {
-    throw snapshot::SnapshotError(
-        "snapshot '" + config_.resume_path + "' was written by a " +
-        std::to_string(snap_workers) +
-        "-worker run; resume with --workers " + std::to_string(snap_workers) +
-        " (host residues are sharded by the worker partition)");
-  }
-}
-
 void ScanSession::discard_orphan_checkpoint() {
   if (config_.checkpoint_path.empty()) return;
   if (snapshot::discard_partial(config_.checkpoint_path)) {
@@ -161,8 +132,6 @@ void ScanSession::write_checkpoint(const longitudinal::Study& study,
                                    const longitudinal::Study::State& state) {
   snapshot::StudySnapshot snap = study.capture(state);
   snap.metric_lines = metric_lines_;
-  snap.workers =
-      config_.workers > 1 ? static_cast<std::uint32_t>(config_.workers) : 0;
   if (config_.checkpoint_strings) {
     snap.has_strings = true;
     snap.strings = fleet().strings();
@@ -198,7 +167,6 @@ const scan::CampaignReport& ScanSession::initial() {
           "tracing must match)");
     }
     check_snapshot_strings(snap);
-    check_snapshot_workers(snap);
     fleet().clock().advance_to(snap.clock_now);
     if (config_.tracing()) {
       trace_.clear();
@@ -229,7 +197,6 @@ const scan::CampaignReport& ScanSession::initial() {
   campaign_config.faults = config_.faults;
   campaign_config.trace = trace();
   campaign_config.metrics = metrics();
-  campaign_config.runner = coordinator();
   scan::Campaign campaign(campaign_config, fleet().dns(), fleet().clock(),
                           fleet());
   // Stream targets straight from the fleet's compact records — no
@@ -246,8 +213,6 @@ const scan::CampaignReport& ScanSession::initial() {
     snap.meta.fault_rate = config_.faults.rate;
     snap.meta.tracing = config_.tracing();
     snap.clock_now = fleet().clock().now();
-    snap.workers =
-        config_.workers > 1 ? static_cast<std::uint32_t>(config_.workers) : 0;
     snap.initial = *initial_;
     snap.degradation = initial_->degradation;
     if (config_.tracing()) snap.trace = trace_.frames();
@@ -273,9 +238,6 @@ const longitudinal::StudyReport* ScanSession::study() {
   study_ran_ = true;
 
   longitudinal::Study study(fleet(), study_config());
-  // Workers fork lazily at the first batch; the study must be reachable from
-  // the coordinator state they inherit.
-  if (dist::Coordinator* c = coordinator()) c->bind_study(&study);
 
   longitudinal::Study::State state;
   if (config_.resume_path.empty()) {
@@ -285,7 +247,6 @@ const longitudinal::StudyReport* ScanSession::study() {
   } else {
     const snapshot::StudySnapshot snap = load_snapshot(config_.resume_path);
     check_snapshot_strings(snap);
-    check_snapshot_workers(snap);
     state = study.restore(snap);
     // restore() reloaded the registry; the rendered lines the halted run had
     // already emitted come back verbatim so the stream continues seamlessly.
@@ -329,7 +290,6 @@ const longitudinal::StudyReport* ScanSession::study() {
       }
       halted_ = true;
       interrupted_ = true;
-      if (coordinator_) coordinator_->shutdown();
       return nullptr;
     }
     if (at_halt()) {
@@ -337,7 +297,6 @@ const longitudinal::StudyReport* ScanSession::study() {
                 << " rounds as requested (resume with --resume "
                 << config_.checkpoint_path << ")\n";
       halted_ = true;
-      if (coordinator_) coordinator_->shutdown();
       return nullptr;
     }
     if (!study.rounds_remaining(state)) break;
@@ -350,7 +309,6 @@ const longitudinal::StudyReport* ScanSession::study() {
   study_report_ = study.finish(std::move(state));
   if (config_.metrics()) record_metric_line("final");
   initial_ = study_report_->initial;
-  if (coordinator_) coordinator_->shutdown();
   return &*study_report_;
 }
 

@@ -24,7 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "dist/coordinator.hpp"
 #include "longitudinal/study.hpp"
 #include "net/wire_trace.hpp"
 #include "obs/metrics.hpp"
@@ -53,8 +52,8 @@ class ScanSession {
   // One measured outcome table per configured spec (cached). The runner
   // drives its flows over a dedicated fleet built fresh from the same
   // scale/seed/mix — a pure function of the config, so the reports are
-  // bit-identical across thread counts, schedulers, worker counts, and
-  // halt/resume, and independent of whatever host state the scan built up.
+  // bit-identical across thread counts, schedulers, and halt/resume, and
+  // independent of whatever host state the scan built up.
   // Baseline specs (and a mix that stages nothing) yield all-zero reports
   // without building the extra fleet.
   const std::vector<scenario::ScenarioReport>& scenario_reports();
@@ -103,11 +102,6 @@ class ScanSession {
   // exited cleanly instead of finishing. Implies halted().
   bool interrupted() const noexcept { return interrupted_; }
 
-  // The distributed-scan coordinator (DESIGN.md §15); built lazily, nullptr
-  // when config().workers <= 1. After a run, its report() carries the
-  // restart/abandonment accounting.
-  dist::Coordinator* coordinator();
-
   // A short banner describing the session (scale, seed, population sizes).
   std::string banner();
 
@@ -116,10 +110,6 @@ class ScanSession {
   // Refuses a resume whose embedded intern table (when present) differs from
   // the rebuilt fleet's — a whole-population fingerprint check (§14).
   void check_snapshot_strings(const snapshot::StudySnapshot& snap);
-  // Refuses a resume whose worker-shard layout differs from --workers: host
-  // residues live in per-worker checkpoints keyed by the ownership
-  // partition, so changing the worker count mid-run would silently reshard.
-  void check_snapshot_workers(const snapshot::StudySnapshot& snap);
   // Removes an orphaned checkpoint .tmp a killed writer left behind.
   void discard_orphan_checkpoint();
   void write_checkpoint(const longitudinal::Study& study,
@@ -133,7 +123,6 @@ class ScanSession {
   obs::Registry metrics_;
   std::vector<std::string> metric_lines_;
   std::unique_ptr<population::Fleet> fleet_;
-  std::unique_ptr<dist::Coordinator> coordinator_;
   std::optional<scan::CampaignReport> initial_;
   std::optional<longitudinal::StudyReport> study_report_;
   bool study_ran_ = false;

@@ -1,13 +1,11 @@
-// Shared field codecs for the snapshot format and the distributed-scan wire
-// protocol (DESIGN.md §11, §15).
+// Field codecs for the snapshot format (DESIGN.md §11).
 //
 // These encode the scan-domain value types (addresses, probe results,
 // per-address outcomes, degradation counters, whole campaign reports, wire
-// frames, host residue) against snapshot::Writer/Reader. They were born as
-// file-local helpers of snapshot.cpp; the coordinator/worker pipe protocol
-// in src/dist/ speaks exactly the same field layout, so the codecs live here
-// once — a checkpoint and a worker reply agree byte-for-byte on every shared
-// structure, and the frozen-wire-byte tests in snapshot_test cover both.
+// frames, host residue) against snapshot::Writer/Reader. They live apart
+// from snapshot.cpp because the study's checkpoint capture
+// (capture_host_state) and the service state file (payload_checksum) use
+// them too.
 #pragma once
 
 #include <string_view>
@@ -26,7 +24,7 @@ class MailHost;
 namespace spfail::snapshot {
 
 // FNV-1a 64 over encoded payload bytes — the integrity check every container
-// (snapshot file, worker checkpoint, pipe frame) appends to its payload.
+// (snapshot file, service state) appends to its payload.
 std::uint64_t payload_checksum(std::string_view bytes);
 
 void put_address(Writer& w, const util::IpAddress& address);
@@ -55,8 +53,7 @@ StudySnapshot::HostState get_host_state(Reader& r);
 
 // Capture a host's residue in canonical wire form (greylist entries re-keyed
 // to textual addresses and re-sorted lexically — see the note in
-// Study::capture). Shared by the study's checkpoint writer and the dist
-// worker's per-chunk checkpoints.
+// Study::capture).
 StudySnapshot::HostState capture_host_state(const util::IpAddress& address,
                                             const mta::MailHost& host);
 

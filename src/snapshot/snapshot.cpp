@@ -15,12 +15,9 @@ namespace {
 // the trace frames means a corrupt or foreign tail, not a missing feature.
 constexpr std::uint8_t kMetricsMarker = 0x4D;  // 'M'
 // Guards the optional fleet intern-table section. Ordering is fixed:
-// metrics (if any) first, then strings, then workers — each optional section
-// appends after every older one so absent-section snapshots keep their bytes.
+// metrics (if any) first, then strings — each optional section appends
+// after every older one so absent-section snapshots keep their bytes.
 constexpr std::uint8_t kStringsMarker = 0x49;  // 'I'
-// Guards the optional worker-shard section (DESIGN.md §15): the worker count
-// of the distributed run that wrote the snapshot.
-constexpr std::uint8_t kWorkersMarker = 0x57;  // 'W'
 
 SnapshotKind decode_kind(std::uint8_t v) {
   switch (v) {
@@ -81,10 +78,6 @@ std::string StudySnapshot::encode() const {
   if (has_strings) {
     payload.u8(kStringsMarker);
     strings.encode(payload);
-  }
-  if (workers > 0) {
-    payload.u8(kWorkersMarker);
-    payload.u32(workers);
   }
 
   Writer out;
@@ -172,11 +165,10 @@ StudySnapshot StudySnapshot::decode(std::string_view bytes) {
   for (std::uint64_t i = 0; i < frames; ++i) {
     snap.trace.push_back(get_frame(payload));
   }
-  // Optional trailing sections, in fixed order: metrics, strings, workers.
-  // Each may be absent; anything else after the trace is a corrupt tail.
+  // Optional trailing sections, in fixed order: metrics, then strings. Each
+  // may be absent; anything else after the trace is a corrupt tail.
   if (!payload.done()) {
     std::uint8_t marker = payload.u8();
-    bool consumed_marker = false;
     if (marker == kMetricsMarker) {
       snap.has_metrics = true;
       snap.metrics = obs::Registry::decode(payload);
@@ -187,19 +179,11 @@ StudySnapshot StudySnapshot::decode(std::string_view bytes) {
       if (payload.done()) return snap;
       marker = payload.u8();
     }
-    if (marker == kStringsMarker) {
-      snap.has_strings = true;
-      snap.strings = util::Interner::decode(payload);
-      if (payload.done()) return snap;
-      marker = payload.u8();
-    }
-    if (marker == kWorkersMarker) {
-      snap.workers = payload.u32();
-      consumed_marker = true;
-    }
-    if (!consumed_marker) {
+    if (marker != kStringsMarker) {
       throw SnapshotError("trailing bytes are not an optional section");
     }
+    snap.has_strings = true;
+    snap.strings = util::Interner::decode(payload);
   }
   payload.expect_done();
   return snap;

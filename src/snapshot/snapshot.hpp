@@ -130,14 +130,6 @@ struct StudySnapshot {
   bool has_strings = false;
   util::Interner strings;
 
-  // Worker-process count of the writing run (DESIGN.md §15). 0 means "single
-  // process" (also every pre-dist snapshot); a --workers N run stamps N so
-  // resume can refuse a worker-shard layout mismatch — per-worker recovery
-  // checkpoints are keyed to the shard layout that wrote them. Encoded as a
-  // third optional marker section after metrics and strings, so snapshots
-  // from single-process runs keep their exact historical bytes.
-  std::uint32_t workers = 0;
-
   std::string encode() const;
   static StudySnapshot decode(std::string_view bytes);
 };

@@ -98,6 +98,11 @@ void Interner::encode(snapshot::Writer& w) const {
 Interner Interner::decode(snapshot::Reader& r) {
   const std::uint32_t length = r.u32();
   const std::uint64_t checksum = r.u64();
+  // The length is outside input: bound it by the bytes present before
+  // reserving for it.
+  if (length > r.remaining()) {
+    throw snapshot::SnapshotError("intern table body is truncated");
+  }
   std::string body;
   body.reserve(length);
   for (std::uint32_t i = 0; i < length; ++i) {

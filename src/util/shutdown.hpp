@@ -1,16 +1,12 @@
-// Cooperative shutdown flag for SIGINT/SIGTERM (DESIGN.md §15).
+// Cooperative shutdown flag for SIGINT/SIGTERM (DESIGN.md §11).
 //
 // A scan that dies mid-checkpoint-write corrupts nothing (writes are atomic
 // temp+rename), but it loses everything since the last boundary. Installing
-// these handlers turns both signals into a request the run loops honour at
-// the next safe boundary: the session loop checkpoints and exits cleanly, a
-// distributed worker finishes its current chunk (whose checkpoint is already
-// on disk) and exits instead of dying mid-write.
+// these handlers turns both signals into a request the study loop honours
+// at the next round boundary: the session checkpoints and exits cleanly.
 //
 // The handler only sets a volatile sig_atomic_t — async-signal-safe by
-// construction. Handlers are installed without SA_RESTART so a worker
-// blocked in read(2) on its request pipe wakes with EINTR and can notice
-// the flag.
+// construction.
 #pragma once
 
 namespace spfail::util {
@@ -21,7 +17,7 @@ void install_shutdown_handlers();
 // True once a handled signal arrived (or request_shutdown was called).
 bool shutdown_requested() noexcept;
 
-// Programmatic equivalents, for tests and for the worker loop's own use.
+// Programmatic equivalents, for tests.
 void request_shutdown() noexcept;
 void clear_shutdown() noexcept;
 

@@ -365,39 +365,6 @@ TEST(ScanConfigArgs, ParsesTheFullFlagSet) {
   EXPECT_EQ(config.resume_path, "/tmp/r.bin");
 }
 
-TEST(ScanConfigArgs, ParsesAndValidatesTheWorkerFlags) {
-  const session::ScanConfig config =
-      parse({"--workers", "4", "--worker-restart-budget", "2", "--checkpoint",
-             "/tmp/c.bin"});
-  EXPECT_EQ(config.workers, 4);
-  EXPECT_EQ(config.worker_restart_budget, 2);
-
-  // Cross-flag validation: distributed runs need a checkpoint stem for the
-  // per-worker checkpoints, and the numerics must be sane.
-  EXPECT_THROW(parse({"--workers", "4"}), session::ScanConfigError);
-  EXPECT_THROW(parse({"--workers", "0", "--checkpoint", "/tmp/c.bin"}),
-               session::ScanConfigError);
-  EXPECT_THROW(parse({"--workers", "x", "--checkpoint", "/tmp/c.bin"}),
-               session::ScanConfigError);
-  EXPECT_THROW(parse({"--worker-restart-budget", "-1"}),
-               session::ScanConfigError);
-
-  // CLI beats the environment for both knobs.
-  ::setenv("SPFAIL_WORKERS", "8", 1);
-  ::setenv("SPFAIL_WORKER_RESTART_BUDGET", "9", 1);
-  const session::ScanConfig from_env =
-      parse({"--checkpoint", "/tmp/c.bin"});
-  EXPECT_EQ(from_env.workers, 8);
-  EXPECT_EQ(from_env.worker_restart_budget, 9);
-  const session::ScanConfig overridden =
-      parse({"--workers", "2", "--worker-restart-budget", "1", "--checkpoint",
-             "/tmp/c.bin"});
-  EXPECT_EQ(overridden.workers, 2);
-  EXPECT_EQ(overridden.worker_restart_budget, 1);
-  ::unsetenv("SPFAIL_WORKERS");
-  ::unsetenv("SPFAIL_WORKER_RESTART_BUDGET");
-}
-
 TEST(ScanConfigArgs, CommandLineOverridesEnvironment) {
   ::setenv("SPFAIL_SCALE", "0.5", 1);
   const session::ScanConfig env_only = parse({});

@@ -44,8 +44,7 @@ TEST(FlagRegistry, FlagsAndEnvVarsAreUniqueAndDocumented) {
         "--sched", "--steal-mode", "--fault-rate", "--fault-seed", "--csv",
         "--trace", "--metrics", "--metrics-wall", "--lazy-hosts",
         "--checkpoint-strings", "--checkpoint", "--checkpoint-every",
-        "--resume", "--halt-after-rounds", "--workers",
-        "--worker-restart-budget"}) {
+        "--resume", "--halt-after-rounds"}) {
     EXPECT_TRUE(flags.contains(flag)) << flag << " missing from registry";
   }
   // SPFAIL_THREADS is deliberately absent: the thread pool resolves it

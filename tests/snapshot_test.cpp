@@ -1,12 +1,17 @@
 // The checkpoint wire format: codec primitives, StudySnapshot round-trips,
 // and the decode-side rejections (magic, version, checksum, truncation,
-// trailing bytes) that keep a corrupt or future snapshot from loading.
+// trailing bytes) that keep a corrupt or future snapshot from loading, and a
+// seeded mutation lane that drives corrupt payloads into the field decoders.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <string_view>
 
+#include "snapshot/fields.hpp"
 #include "snapshot/snapshot.hpp"
+#include "util/rng.hpp"
 
 namespace spfail::snapshot {
 namespace {
@@ -318,6 +323,116 @@ TEST(Snapshot, SaveAtomicallyAndLoadFileRoundTrip) {
 
 TEST(Snapshot, LoadFileReportsMissingFile) {
   EXPECT_THROW(load_file("/nonexistent/spfail.snapshot"), SnapshotError);
+}
+
+// --- mutation lane: corrupt payloads reach the field decoders --------------
+//
+// Every case must decode or throw SnapshotError; any other exception here,
+// or a sanitizer report in the asan_faults / ubsan_net lanes, is a decoder
+// bug. Mutating the file bytes alone would only ever exercise the checksum,
+// so each mutated payload is re-framed with a recomputed fnv1a trailer.
+
+// The sample snapshot with both optional trailing sections: metrics (0x4D)
+// and the intern table (0x49).
+StudySnapshot sectioned_snapshot() {
+  StudySnapshot snap = sample_snapshot();
+  snap.has_metrics = true;
+  snap.metrics.counter("probe_attempts_total", {{"test", "NoMsg"}}) += 5;
+  snap.metrics.gauge("study_round") = 3;
+  snap.metrics.histogram("retry_backoff_sim_seconds").observe(480);
+  snap.metric_lines = {"{\"phase\":\"initial\"}"};
+  snap.has_strings = true;
+  snap.strings.intern("example.org");
+  snap.strings.intern("org");
+  return snap;
+}
+
+// An encoded snapshot split around its payload: the fixed header (magic 8,
+// version 4, kind 1, three u64 seeds, scale and fault rate as f64, tracing
+// 1) and the payload its u32 length prefix frames.
+struct Framed {
+  std::string header;
+  std::string payload;
+};
+
+Framed unframe(const std::string& bytes) {
+  constexpr std::size_t kHeaderBytes = 8 + 4 + 1 + 3 * 8 + 2 * 8 + 1;
+  Reader r(std::string_view(bytes).substr(kHeaderBytes));
+  return Framed{bytes.substr(0, kHeaderBytes), r.str()};
+}
+
+std::string reframe(const std::string& header, std::string_view payload) {
+  Writer tail;
+  tail.str(payload);
+  tail.u64(payload_checksum(payload));
+  return header + tail.bytes();
+}
+
+void expect_decodes_or_rejects(const std::string& bytes,
+                               const std::string& which) {
+  try {
+    (void)StudySnapshot::decode(bytes);
+  } catch (const SnapshotError&) {
+    // A clean rejection.
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << which << " escaped as a non-SnapshotError: " << e.what();
+  }
+}
+
+TEST(SnapshotMutation, SeededByteFlipsDecodeOrReject) {
+  const std::string bytes = sectioned_snapshot().encode();
+  const Framed base = unframe(bytes);
+  ASSERT_EQ(reframe(base.header, base.payload), bytes);  // the split is exact
+  util::Rng rng(0x5EED1);
+  for (int i = 0; i < 300; ++i) {
+    std::string payload = base.payload;
+    const std::uint64_t flips = rng.uniform(1, 4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      payload[rng.uniform(0, payload.size() - 1)] ^=
+          static_cast<char>(rng.uniform(1, 255));
+    }
+    expect_decodes_or_rejects(reframe(base.header, payload),
+                              "flip case " + std::to_string(i));
+  }
+}
+
+TEST(SnapshotMutation, EveryTruncationDecodesOrRejects) {
+  const Framed base = unframe(sectioned_snapshot().encode());
+  for (std::size_t cut = 0; cut < base.payload.size(); ++cut) {
+    expect_decodes_or_rejects(
+        reframe(base.header, std::string_view(base.payload).substr(0, cut)),
+        "truncation at " + std::to_string(cut));
+  }
+}
+
+TEST(SnapshotMutation, SeededInsertionsDecodeOrReject) {
+  const Framed base = unframe(sectioned_snapshot().encode());
+  util::Rng rng(0x5EED2);
+  for (int i = 0; i < 300; ++i) {
+    std::string inserted(rng.uniform(1, 8), '\0');
+    for (char& c : inserted) c = static_cast<char>(rng.uniform(0, 255));
+    std::string payload = base.payload;
+    payload.insert(rng.uniform(0, payload.size()), inserted);
+    expect_decodes_or_rejects(reframe(base.header, payload),
+                              "insertion case " + std::to_string(i));
+  }
+}
+
+TEST(SnapshotMutation, RetiredWorkerCountSectionIsRejected) {
+  // 0x57 carried the worker count of the removed process backend; nothing
+  // can resume such a run, so the section reads as a corrupt tail — after
+  // the other optional sections and on its own.
+  Writer retired;
+  retired.u8(0x57);
+  retired.u32(4);
+  for (const bool sectioned : {true, false}) {
+    const Framed base = unframe(
+        (sectioned ? sectioned_snapshot() : sample_snapshot()).encode());
+    EXPECT_THROW(StudySnapshot::decode(
+                     reframe(base.header, base.payload + retired.bytes())),
+                 SnapshotError)
+        << (sectioned ? "after metrics and strings" : "alone");
+  }
 }
 
 }  // namespace

@@ -135,6 +135,10 @@ struct PaperExampleCase {
   const char* expected;
 };
 
+// Names each ctest case by its macro; gtest's default would print the two
+// string addresses, which change with every build.
+void PrintTo(const PaperExampleCase& c, std::ostream* os) { *os << c.macro; }
+
 class PaperExamples : public ::testing::TestWithParam<PaperExampleCase> {};
 
 TEST_P(PaperExamples, ExpandsAsInSection22) {
