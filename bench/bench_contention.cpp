@@ -1,6 +1,6 @@
 // Contention microbench for the lock-free scan core (DESIGN.md §16).
 //
-// Two surfaces, each at 1/2/8 threads:
+// Three surfaces, each at 1/2/8 threads:
 //
 //   table  — util::ConcurrentTable throughput on its two paths: the miss
 //            path (CAS-claim a fresh slot, publish) and the hit path (probe
@@ -11,6 +11,11 @@
 //            split and through the work-stealing batch scheduler (none /
 //            random / adversarial), so the steal machinery's cost — and the
 //            rebalancing it buys under skew — is a number, not a hunch.
+//   cache  — spf::SharedRecordCache fed distinct record texts, four times
+//            its capacity, the way per-probe templated policies arrive:
+//            lookups/s while it admits (parse + insert) and after its
+//            admission bound (turned away). A cache whose past-the-bound
+//            lookups cost O(capacity) or throw shows up here as a cliff.
 //
 // Results go to stdout as a table and to --out (default
 // BENCH_contention.json) as machine-readable JSON. Wall-clock numbers are
@@ -26,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "spf/record_cache.hpp"
 #include "util/concurrent_table.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -145,6 +151,49 @@ StealTimes measure_steal(int threads, std::size_t n, int spin) {
   return times;
 }
 
+// ------------------------------------------------------------------ cache
+
+struct CacheRates {
+  double admit_mlps = 0.0;      // million lookups / second below the bound
+  double saturated_mlps = 0.0;  // million lookups / second past the bound
+  std::size_t size = 0;
+  std::uint64_t uncached = 0;
+};
+
+// Runs lookup() over texts[begin, end) split across `threads`; seconds.
+double lookup_all(spf::SharedRecordCache& cache,
+                  const std::vector<std::string>& texts, std::size_t begin,
+                  std::size_t end, int threads) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = begin + static_cast<std::size_t>(t); i < end;
+           i += static_cast<std::size_t>(threads)) {
+        cache.lookup(texts[i]);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  return seconds_since(start);
+}
+
+// One default-sized cache, like the fleet's: the first capacity/2 distinct
+// texts are admitted, every later one is past the bound.
+CacheRates measure_cache(int threads, const std::vector<std::string>& texts) {
+  spf::SharedRecordCache cache;
+  const std::size_t bound = cache.capacity() / 2;
+  CacheRates rates;
+  rates.admit_mlps = static_cast<double>(bound) /
+                     lookup_all(cache, texts, 0, bound, threads) / 1e6;
+  rates.saturated_mlps =
+      static_cast<double>(texts.size() - bound) /
+      lookup_all(cache, texts, bound, texts.size(), threads) / 1e6;
+  rates.size = cache.size();
+  rates.uncached = cache.uncached();
+  return rates;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -184,11 +233,33 @@ int main(int argc, char** argv) {
   std::cout << "Lock-free scan core contention (DESIGN.md §16): "
             << keys << " keys, " << items << " items\n\n";
 
+  // Distinct record texts, pre-rendered so the cache lanes time lookups.
+  const std::size_t cache_capacity = spf::SharedRecordCache().capacity();
+  std::vector<std::string> texts(4 * cache_capacity);
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    texts[i] = "v=spf1 a:" + std::to_string(i) + ".probe.example.com -all";
+  }
+
   std::vector<TableRates> table_rates;
   std::vector<StealTimes> steal_times;
+  std::vector<CacheRates> cache_rates;
   for (const int threads : lanes) {
     table_rates.push_back(measure_table(threads, keys, rounds));
     steal_times.push_back(measure_steal(threads, items, spin));
+    cache_rates.push_back(measure_cache(threads, texts));
+  }
+  // The lane is informational, but a cache that grew past its admission
+  // bound or answered a turned-away text would make its numbers meaningless.
+  for (std::size_t i = 0; i < std::size(lanes); ++i) {
+    if (cache_rates[i].size != cache_capacity / 2 ||
+        cache_rates[i].uncached != texts.size() - cache_capacity / 2) {
+      std::cerr << "record cache lane at " << lanes[i] << " threads: size "
+                << cache_rates[i].size << ", uncached "
+                << cache_rates[i].uncached << "; expected "
+                << cache_capacity / 2 << " and "
+                << texts.size() - cache_capacity / 2 << "\n";
+      return 1;
+    }
   }
 
   util::TextTable table(
@@ -210,12 +281,27 @@ int main(int argc, char** argv) {
   }
   std::cout << table << "\n";
 
+  util::TextTable cache_table(
+      {"Threads", "Cache admit Mlookup/s", "Cache past-bound Mlookup/s"},
+      {util::Align::Right, util::Align::Right, util::Align::Right});
+  for (std::size_t i = 0; i < std::size(lanes); ++i) {
+    cache_table.add_row({std::to_string(lanes[i]),
+                         fmt(cache_rates[i].admit_mlps),
+                         fmt(cache_rates[i].saturated_mlps)});
+  }
+  std::cout << "SPF record cache: " << texts.size()
+            << " distinct texts through capacity " << cache_capacity
+            << " (admission bound " << cache_capacity / 2 << ")\n"
+            << cache_table << "\n";
+
   std::ofstream out(out_path, std::ios::trunc);
   if (!out) {
     std::cerr << "warning: cannot write " << out_path << "\n";
     return 0;
   }
   out << "{\n  \"keys\": " << keys << ",\n  \"items\": " << items
+      << ",\n  \"record_cache_texts\": " << texts.size()
+      << ",\n  \"record_cache_capacity\": " << cache_capacity
       << ",\n  \"lanes\": [\n";
   for (std::size_t i = 0; i < std::size(lanes); ++i) {
     out << "    {\n      \"threads\": " << lanes[i] << ",\n"
@@ -226,7 +312,13 @@ int main(int argc, char** argv) {
         << "        \"none_seconds\": " << steal_times[i].none_s << ",\n"
         << "        \"random_seconds\": " << steal_times[i].random_s << ",\n"
         << "        \"adversarial_seconds\": " << steal_times[i].adversarial_s
-        << "\n      }\n    }" << (i + 1 < std::size(lanes) ? "," : "")
+        << "\n      },\n"
+        << "      \"record_cache\": {\n"
+        << "        \"admit_mlookups_per_s\": " << cache_rates[i].admit_mlps
+        << ",\n"
+        << "        \"past_bound_mlookups_per_s\": "
+        << cache_rates[i].saturated_mlps << "\n      }\n    }"
+        << (i + 1 < std::size(lanes) ? "," : "")
         << "\n";
   }
   out << "  ]\n}\n";

@@ -17,7 +17,8 @@ std::vector<QueryLogEntry> QueryLog::under(const Name& suffix) const {
 
 void QueryLog::splice(QueryLog&& other) {
   const std::vector<util::Symbol> remap = names_.merge(other.names_);
-  entries_.reserve(entries_.size() + other.entries_.size());
+  // No reserve(size() + other.size()): an exact-size reserve defeats the
+  // vector's geometric growth, so every splice would copy the whole log.
   for (const Compact& e : other.entries_) {
     entries_.push_back(Compact{e.time, e.client, remap[e.qname], e.qtype});
   }

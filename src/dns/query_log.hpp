@@ -87,7 +87,9 @@ class QueryLog {
 
   // Move every entry of `other` to the end of this log (the sharded scan
   // drains worker-lane logs back into the authoritative one in shard-index
-  // order; the intern merge follows the same discipline).
+  // order; the intern merge follows the same discipline). Amortised
+  // O(other.size()): the cost never depends on how large this log already
+  // is. `other` is left empty and reusable.
   void splice(QueryLog&& other);
 
  private:

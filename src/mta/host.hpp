@@ -84,8 +84,8 @@ class MailHost : public smtp::SessionHandler {
  public:
   // `dns_service` and `clock` must outlive the host; so must `record_cache`
   // when set (optional, not owned): the fleet-wide shared SPF parse memo
-  // every engine's evaluator reads through (DESIGN.md §16). Null keeps all
-  // parse memoisation host-local.
+  // every engine's evaluator reads through (DESIGN.md §16). Null means each
+  // SPF check parses the records it fetches.
   MailHost(HostProfile profile, dns::DnsService& dns_service,
            const util::SimClock& clock,
            spf::SharedRecordCache* record_cache = nullptr);
@@ -169,8 +169,8 @@ class MailHost : public smtp::SessionHandler {
   dns::StubResolver resolver_;
   std::vector<spfvuln::SpfBehavior> behaviors_;
   std::vector<std::unique_ptr<spf::MacroExpander>> engines_;
-  // One persistent evaluator per engine: its parsed-record memo then lives
-  // across messages, so repeated policy fetches parse once per host.
+  // One persistent evaluator per engine, rebuilt only when a patch swaps the
+  // engine. Record parses are memoised fleet-wide by `record_cache_`.
   std::vector<std::unique_ptr<spf::Evaluator>> evaluators_;
   std::vector<spf::Result> last_spf_results_;
   // Client address -> first contact time. Keyed by the address value itself

@@ -61,9 +61,9 @@ Result Evaluator::check_domain(State& state, const dns::Name& domain,
   if (spf_records.empty()) return Result::None;
   if (spf_records.size() > 1) return Result::PermError;
 
-  const Record* cached = cached_record(spf_records.front());
-  if (cached == nullptr) return Result::PermError;
-  const Record& record = *cached;
+  const Record* parsed = parsed_record(state, spf_records.front());
+  if (parsed == nullptr) return Result::PermError;
+  const Record& record = *parsed;
 
   // 2. Evaluate mechanisms left to right.
   for (const auto& mech : record.mechanisms) {
@@ -125,28 +125,17 @@ Result Evaluator::check_domain(State& state, const dns::Name& domain,
   return Result::Neutral;  // default when no mechanism matched (section 4.7)
 }
 
-const Record* Evaluator::cached_record(const std::string& text) {
+const Record* Evaluator::parsed_record(State& state, const std::string& text) {
   if (shared_cache_ != nullptr) {
     if (const auto* entry = shared_cache_->lookup(text)) {
       return entry->ok ? &entry->record : nullptr;
     }
-    // Cache full: fall through to the private memo.
   }
-  const util::Symbol id = record_texts_.intern(text);
-  if (id < records_.size()) {
-    const CachedRecord& hit = records_[id];
-    return hit.ok ? &hit.record : nullptr;
-  }
-  CachedRecord entry;
   try {
-    entry.record = parse_record(text);
-    entry.ok = true;
+    return &state.parsed.emplace_front(parse_record(text));
   } catch (const RecordSyntaxError&) {
-    entry.ok = false;
+    return nullptr;
   }
-  records_.push_back(std::move(entry));
-  const CachedRecord& stored = records_.back();
-  return stored.ok ? &stored.record : nullptr;
 }
 
 const dns::Name& Evaluator::validated_domain(State& state,

@@ -7,7 +7,7 @@
 // the authoritative server — the paper's remote-detection fingerprint.
 #pragma once
 
-#include <deque>
+#include <forward_list>
 #include <string>
 
 #include "dns/resolver.hpp"
@@ -15,7 +15,6 @@
 #include "spf/record.hpp"
 #include "spf/record_cache.hpp"
 #include "spf/result.hpp"
-#include "util/intern.hpp"
 
 namespace spfail::spf {
 
@@ -47,8 +46,8 @@ class Evaluator {
  public:
   // All references must outlive the evaluator. `shared_cache` (optional, not
   // owned) is the fleet-wide record-parse memo (DESIGN.md §16): when set,
-  // parses are answered from it and the private memo below only catches its
-  // overflow; when null every parse stays evaluator-local.
+  // parses are answered from it; a text it does not hold, or every text
+  // when it is null, is parsed into storage owned by the check_host call.
   Evaluator(dns::StubResolver& resolver, const MacroExpander& expander,
             EvaluatorLimits limits = {},
             SharedRecordCache* shared_cache = nullptr)
@@ -60,12 +59,6 @@ class Evaluator {
   // Entry point per RFC 7208 section 4.1.
   CheckOutcome check_host(const CheckRequest& request);
 
-  // Parsed-record memo statistics (DESIGN.md §14): every record text the
-  // evaluator has seen, interned once; hits are TXT fetches whose parse was
-  // answered from the cache (include chains and repeated checks re-fetch the
-  // same policy text, but never pay parse allocations twice).
-  const util::Interner& record_cache() const noexcept { return record_texts_; }
-
  private:
   struct State {
     CheckRequest request;
@@ -76,6 +69,11 @@ class Evaluator {
     // memoised for the whole check (RFC 7208 section 7.3).
     bool validated_domain_resolved = false;
     dns::Name validated_domain;
+    // Records this check parsed itself (no shared cache, or one that turned
+    // the text away). A node list, so the `const Record&` an outer
+    // check_domain holds stays valid while include/redirect recursion
+    // parses more; it stays empty — no allocation — while the cache hits.
+    std::forward_list<Record> parsed;
   };
 
   // Resolve the validated domain of the client IP for the "p" macro: take
@@ -98,27 +96,16 @@ class Evaluator {
   // void-lookup limit is exceeded.
   bool note_void(State& state, const dns::ResolveResult& result);
 
-  // The parsed form of `text`, memoised across checks for the evaluator's
-  // lifetime; nullptr for records with syntax errors (also memoised — a
-  // PermError record stays a PermError record). DNS fetches are NOT cached
-  // here: the queries are the paper's observable, only parsing is elided.
-  const Record* cached_record(const std::string& text);
+  // The parsed form of `text`: the shared cache's entry when it holds the
+  // text, else a parse kept in `state` until check_host returns; nullptr for
+  // records with syntax errors. DNS fetches are NOT cached: the queries are
+  // the paper's observable, only parsing is elided.
+  const Record* parsed_record(State& state, const std::string& text);
 
   dns::StubResolver& resolver_;
   const MacroExpander& expander_;
   EvaluatorLimits limits_;
   SharedRecordCache* shared_cache_ = nullptr;
-
-  // Record-text intern table plus the parse memo it indexes. A deque keeps
-  // Record references stable while include recursion appends new entries.
-  // With a shared cache attached this only sees its overflow (full table /
-  // exhausted salt chain) — parsing is pure, so both paths agree.
-  util::Interner record_texts_;
-  struct CachedRecord {
-    bool ok = false;
-    Record record;
-  };
-  std::deque<CachedRecord> records_;
 };
 
 }  // namespace spfail::spf

@@ -8,12 +8,19 @@
 // by fnv1a of the record text, with the full-text verify + salted re-probe
 // pattern from util::SyncInterner, since texts are wider than 64-bit keys.
 //
+// Admission is bounded: a new text is inserted only while the table is
+// within its half-load bound (size() < capacity() / 2). Past that, lookup()
+// only finds — a hit returns the entry, a miss returns nullptr at once — so
+// a saturated cache costs O(1) per lookup and never throws. The texts it
+// turns away are mostly single-use (each probe's templated policy echoes
+// its own per-target label); the evaluator parses those into storage owned
+// by the check_host call.
+//
 // Determinism: parsing is a pure function of the text, and entries are
-// immutable after publication, so which thread inserts first is invisible to
-// every output. The hit/miss counters ARE schedule-dependent (racing inserts
-// on the same text both count a miss) — they feed benches only, never
-// reports. A full cache degrades, never breaks: lookup() returns nullptr and
-// the evaluator falls back to its private memo.
+// immutable after publication, so which thread inserts first — and which
+// texts land before the bound — is invisible to every output. The
+// hit/miss/uncached counters ARE schedule-dependent (racing inserts on the
+// same text both count a miss) — they feed benches only, never reports.
 #pragma once
 
 #include <atomic>
@@ -46,20 +53,30 @@ class SharedRecordCache {
     Record record;
   };
 
-  // The memoised parse of `text`, parsing and inserting on first sight.
-  // Thread-safe; concurrent callers with the same text converge on one
-  // Entry. Returns nullptr when the cache cannot hold the text (table full
-  // or salt chain exhausted) — callers fall back to their private memo.
+  // The memoised parse of `text`, parsing and inserting on first sight
+  // while the table is inside its admission bound. Thread-safe; concurrent
+  // callers with the same text converge on one Entry. Returns nullptr when
+  // the text is not cached and the bound is reached (or its salt chain is
+  // exhausted) — the caller parses it itself. Racing admissions overshoot
+  // the bound by at most one entry per other inserting thread; with fewer
+  // threads than capacity() / 2 the table never fills, so nothing throws.
   const Entry* lookup(const std::string& text);
 
-  // Bench-only statistics (schedule-dependent; see header comment).
+  // Bench-only statistics (schedule-dependent; see header comment). Every
+  // lookup counts exactly once: hits() + misses() + uncached() is the
+  // number of lookup() calls.
   std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
   std::uint64_t misses() const noexcept {
     return misses_.load(std::memory_order_relaxed);
   }
+  // Lookups answered nullptr: texts turned away past the admission bound.
+  std::uint64_t uncached() const noexcept {
+    return uncached_.load(std::memory_order_relaxed);
+  }
   std::size_t size() const noexcept { return table_.size(); }
+  std::size_t capacity() const noexcept { return table_.capacity(); }
 
  private:
   static constexpr std::uint64_t kSaltStep = 0x9E3779B97F4A7C15ULL;
@@ -73,6 +90,7 @@ class SharedRecordCache {
   util::ConcurrentTable<Slot> table_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> uncached_{0};
 };
 
 }  // namespace spfail::spf

@@ -6,6 +6,20 @@
 
 namespace spfail::util {
 
+namespace {
+
+// Display width of a UTF-8 cell: one column per code point, i.e. every byte
+// that is not a 10xxxxxx continuation byte. Sparkline blocks are three bytes
+// but one column wide.
+std::size_t display_width(const std::string& cell) {
+  return static_cast<std::size_t>(
+      std::count_if(cell.begin(), cell.end(), [](char c) {
+        return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+      }));
+}
+
+}  // namespace
+
 TextTable::TextTable(std::vector<std::string> headers,
                      std::vector<Align> alignments)
     : headers_(std::move(headers)), alignments_(std::move(alignments)) {
@@ -42,12 +56,12 @@ std::size_t TextTable::rows() const noexcept {
 std::string TextTable::render() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    widths[c] = headers_[c].size();
+    widths[c] = display_width(headers_[c]);
   }
   for (const auto& row : rows_) {
     if (row.rule) continue;
     for (std::size_t c = 0; c < row.cells.size(); ++c) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+      widths[c] = std::max(widths[c], display_width(row.cells[c]));
     }
   }
 
@@ -61,7 +75,7 @@ std::string TextTable::render() const {
   const auto emit_cells = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < widths.size(); ++c) {
       const std::string& cell = cells[c];
-      const std::size_t pad = widths[c] - cell.size();
+      const std::size_t pad = widths[c] - display_width(cell);
       os << "| ";
       if (alignments_[c] == Align::Right) os << std::string(pad, ' ');
       os << cell;

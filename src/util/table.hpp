@@ -1,5 +1,7 @@
 // Plain-text table rendering used by the bench harness to print the paper's
-// tables and figure series in a diff-friendly fixed-width format.
+// tables and figure series in a diff-friendly fixed-width format. Columns
+// are sized and padded by display width (UTF-8 code points), so a cell of
+// sparkline blocks lines up with ASCII cells.
 #pragma once
 
 #include <cstddef>

@@ -242,5 +242,93 @@ TEST(ConcurrentTableRecordCache, ConcurrentLookupsConverge) {
   }
 }
 
+// A distinct policy text per index — the shape of the per-probe templated
+// policies, each of which is fetched for one target only.
+std::string probe_policy(int i) {
+  return "v=spf1 a:" + std::to_string(i) + ".probe.example.com -all";
+}
+
+TEST(ConcurrentTableRecordCache, SaturatedCacheStopsAtAdmissionBound) {
+  spf::SharedRecordCache cache(16);
+  const std::size_t bound = cache.capacity() / 2;
+  constexpr int kTexts = 1000;
+  std::vector<const spf::SharedRecordCache::Entry*> first(kTexts);
+  for (int i = 0; i < kTexts; ++i) {
+    ASSERT_NO_THROW(first[i] = cache.lookup(probe_policy(i))) << i;
+  }
+  // Serially, the first `bound` texts are admitted and the rest turned away.
+  EXPECT_EQ(cache.size(), bound);
+  for (int i = 0; i < kTexts; ++i) {
+    if (static_cast<std::size_t>(i) < bound) {
+      ASSERT_NE(first[i], nullptr) << i;
+      EXPECT_TRUE(first[i]->ok);
+      EXPECT_EQ(first[i]->text, probe_policy(i));
+    } else {
+      EXPECT_EQ(first[i], nullptr) << i;
+    }
+  }
+  EXPECT_EQ(cache.misses(), bound);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.uncached(), kTexts - bound);
+
+  // A second pass: admitted texts hit their same Entry, the rest stay
+  // uncached, and the table does not grow.
+  for (int i = 0; i < kTexts; ++i) {
+    EXPECT_EQ(cache.lookup(probe_policy(i)), first[i]) << i;
+  }
+  EXPECT_EQ(cache.size(), bound);
+  EXPECT_EQ(cache.hits(), bound);
+  EXPECT_EQ(cache.uncached(), 2 * (kTexts - bound));
+  EXPECT_EQ(cache.hits() + cache.misses() + cache.uncached(), 2u * kTexts);
+}
+
+TEST(ConcurrentTableRecordCache, SaturatedCacheUnderRacingThreadsNeverThrows) {
+  spf::SharedRecordCache cache(16);
+  constexpr int kThreads = 6;
+  constexpr int kTexts = 1000;
+  std::atomic<int> throws{0};
+  std::vector<std::vector<const spf::SharedRecordCache::Entry*>> seen(
+      kThreads, std::vector<const spf::SharedRecordCache::Entry*>(kTexts));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each lane starts at a different offset, so admissions race.
+      for (int r = 0; r < kTexts; ++r) {
+        const int i = (r + t * kTexts / kThreads) % kTexts;
+        try {
+          seen[t][i] = cache.lookup(probe_policy(i));
+        } catch (...) {
+          throws.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(throws.load(), 0);
+  // Racing admissions overshoot the bound by at most one per other thread.
+  const std::size_t bound = cache.capacity() / 2;
+  EXPECT_GE(cache.size(), bound);
+  EXPECT_LE(cache.size(), bound + kThreads - 1);
+  EXPECT_EQ(cache.hits() + cache.misses() + cache.uncached(),
+            static_cast<std::uint64_t>(kThreads) * kTexts);
+  EXPECT_EQ(cache.misses(), cache.size());
+
+  // Every non-null answer for a text is the one published Entry, and a
+  // quiescent lookup returns it again.
+  std::size_t admitted = 0;
+  for (int i = 0; i < kTexts; ++i) {
+    const auto* now = cache.lookup(probe_policy(i));
+    if (now != nullptr) {
+      ++admitted;
+      EXPECT_EQ(now->text, probe_policy(i));
+    }
+    for (const auto& lane : seen) {
+      if (lane[i] != nullptr) EXPECT_EQ(lane[i], now) << "text " << i;
+    }
+  }
+  EXPECT_EQ(admitted, cache.size());
+}
+
 }  // namespace
 }  // namespace spfail

@@ -237,6 +237,48 @@ TEST(QueryLogDedupe, SpliceRemapsSymbols) {
   EXPECT_EQ(entries[2].time, 3);
 }
 
+// The study splices one lane log per batch into the authoritative log every
+// round; a long run of small splices must reproduce a serial recording
+// exactly, and leave each lane log empty and ready for reuse.
+TEST(QueryLogDedupe, SplicingManyLaneLogsEqualsRecordingSerially) {
+  constexpr int kLanes = 2000;
+  const auto qname = [](int i) {
+    return "q" + std::to_string(i % 37) + ".probe.example";  // repeats
+  };
+  dns::QueryLog serial;
+  std::vector<dns::QueryLog> lanes(kLanes);
+  for (int i = 0; i < kLanes; ++i) {
+    serial.record(entry_for(qname(i), i));
+    lanes[i].record(entry_for(qname(i), i));
+  }
+  dns::QueryLog merged;
+  for (auto& lane : lanes) merged.splice(std::move(lane));
+
+  ASSERT_EQ(merged.size(), serial.size());
+  EXPECT_EQ(merged.names().size(), serial.names().size());
+  EXPECT_EQ(merged.names().size(), 37u);
+  EXPECT_TRUE(merged.names() == serial.names());  // same Symbol order
+  const auto got = merged.entries();
+  const auto want = serial.entries();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+    EXPECT_EQ(got[i].client, want[i].client) << i;
+    EXPECT_EQ(got[i].qname, want[i].qname) << i;
+    EXPECT_EQ(got[i].qtype, want[i].qtype) << i;
+  }
+
+  for (const auto& lane : lanes) {
+    EXPECT_EQ(lane.size(), 0u);
+    EXPECT_TRUE(lane.names().empty());
+  }
+  lanes[7].record(entry_for("reuse.probe.example", kLanes));
+  ASSERT_EQ(lanes[7].size(), 1u);
+  EXPECT_EQ(lanes[7].entries()[0].qname.to_string(), "reuse.probe.example");
+  merged.splice(std::move(lanes[7]));
+  EXPECT_EQ(merged.size(), serial.size() + 1);
+  EXPECT_EQ(merged.entries().back().time, kLanes);
+}
+
 // ------------------------------------------------- lazy fleet ≡ eager fleet
 
 std::string campaign_digest(population::Fleet& fleet, bool streaming) {

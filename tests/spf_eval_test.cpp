@@ -3,6 +3,7 @@
 #include "dns/resolver.hpp"
 #include "dns/server.hpp"
 #include "spf/eval.hpp"
+#include "spf/record_cache.hpp"
 
 namespace spfail::spf {
 namespace {
@@ -292,6 +293,114 @@ TEST_F(EvalFixture, PtrMechanism) {
   // Unconfirmed address fails.
   EXPECT_EQ(check("user", "example.com", IpAddress::v4(203, 0, 113, 9)).result,
             Result::Fail);
+}
+
+// ------------------------------------------------ shared record cache
+
+// The evaluator must give the same outcome whether a record's parse comes
+// from the shared cache or from per-check storage. With a saturated cache
+// every record is parsed per check while the outer record is still being
+// walked, so a per-check store that moved its records would leave a
+// dangling `const Record&` (the asan_faults / ubsan_net lanes run this).
+class SpfRecordCache : public EvalFixture {
+ protected:
+  SpfRecordCache() {
+    // An include followed by more mechanisms: the outer record is read
+    // again after the include's record has been parsed.
+    Zone zone(Name::from_string("example.com"));
+    zone.add(ResourceRecord::txt(
+        Name::from_string("example.com"),
+        "v=spf1 include:inc.example.org ip4:192.0.2.0/24 "
+        "redirect=red.example.net"));
+    add_zone(std::move(zone));
+    Zone inc(Name::from_string("inc.example.org"));
+    inc.add(ResourceRecord::txt(Name::from_string("inc.example.org"),
+                                "v=spf1 ip4:198.51.100.0/24 -all"));
+    add_zone(std::move(inc));
+    Zone red(Name::from_string("red.example.net"));
+    red.add(ResourceRecord::txt(
+        Name::from_string("red.example.net"),
+        "v=spf1 ip4:203.0.113.0/24 exp=why.red.example.net -all"));
+    red.add(ResourceRecord::txt(Name::from_string("why.red.example.net"),
+                                "%{i} may not send for %{d}"));
+    add_zone(std::move(red));
+    Zone bad(Name::from_string("bad.example.com"));
+    bad.add(ResourceRecord::txt(Name::from_string("bad.example.com"),
+                                "v=spf1 ip4:not-an-address -all"));
+    add_zone(std::move(bad));
+    Zone via_bad(Name::from_string("viabad.example.com"));
+    via_bad.add(ResourceRecord::txt(Name::from_string("viabad.example.com"),
+                                    "v=spf1 include:bad.example.com -all"));
+    add_zone(std::move(via_bad));
+  }
+
+  // Every (sender domain, client) pair, checked twice in a row through one
+  // evaluator, so a cache that admitted the records serves the second pass.
+  std::vector<CheckOutcome> run_all(SharedRecordCache* cache) {
+    Evaluator evaluator(resolver_, expander_, EvaluatorLimits{}, cache);
+    std::vector<CheckOutcome> out;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const char* domain :
+           {"example.com", "bad.example.com", "viabad.example.com"}) {
+        for (const IpAddress& ip :
+             {IpAddress::v4(198, 51, 100, 9), IpAddress::v4(192, 0, 2, 5),
+              IpAddress::v4(203, 0, 113, 5), IpAddress::v4(9, 9, 9, 9)}) {
+          CheckRequest request;
+          request.client_ip = ip;
+          request.sender_local = "user";
+          request.sender_domain = Name::from_string(domain);
+          request.helo_domain = Name::from_string("client.example.net");
+          out.push_back(evaluator.check_host(request));
+        }
+      }
+    }
+    return out;
+  }
+};
+
+TEST_F(SpfRecordCache, SaturatedCacheMatchesNoCacheAndRoomyCache) {
+  const std::vector<CheckOutcome> uncached = run_all(nullptr);
+
+  SharedRecordCache roomy;
+  const std::vector<CheckOutcome> cached = run_all(&roomy);
+  EXPECT_GT(roomy.hits(), 0u);
+  EXPECT_EQ(roomy.uncached(), 0u);
+
+  // Fill a minimal cache to its admission bound with unrelated texts, so
+  // every record the checks fetch is turned away.
+  SharedRecordCache saturated(1);
+  for (int i = 0; saturated.size() < saturated.capacity() / 2; ++i) {
+    saturated.lookup("v=spf1 a:" + std::to_string(i) + ".filler.test -all");
+  }
+  const std::size_t filled = saturated.size();
+  const std::vector<CheckOutcome> turned_away = run_all(&saturated);
+  EXPECT_EQ(saturated.size(), filled);
+  EXPECT_GT(saturated.uncached(), 0u);
+
+  // Spot-check that the inputs reach every path: include pass, the outer
+  // ip4 after the include, redirect pass, redirect fail with explanation,
+  // and the syntax error both directly and through an include.
+  ASSERT_EQ(uncached.size(), 24u);
+  EXPECT_EQ(uncached[0].result, Result::Pass);
+  EXPECT_EQ(uncached[1].result, Result::Pass);
+  EXPECT_EQ(uncached[2].result, Result::Pass);
+  EXPECT_EQ(uncached[3].result, Result::Fail);
+  EXPECT_EQ(uncached[3].explanation,
+            "9.9.9.9 may not send for red.example.net");
+  EXPECT_EQ(uncached[4].result, Result::PermError);
+  EXPECT_EQ(uncached[8].result, Result::PermError);
+
+  for (const auto* other : {&cached, &turned_away}) {
+    ASSERT_EQ(other->size(), uncached.size());
+    for (std::size_t i = 0; i < uncached.size(); ++i) {
+      EXPECT_EQ((*other)[i].result, uncached[i].result) << i;
+      EXPECT_EQ((*other)[i].explanation, uncached[i].explanation) << i;
+      EXPECT_EQ((*other)[i].dns_mechanism_lookups,
+                uncached[i].dns_mechanism_lookups)
+          << i;
+      EXPECT_EQ((*other)[i].void_lookups, uncached[i].void_lookups) << i;
+    }
+  }
 }
 
 }  // namespace

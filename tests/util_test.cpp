@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <vector>
 
 #include "util/clock.hpp"
 #include "util/encoding.hpp"
 #include "util/ip.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -389,6 +392,30 @@ TEST(Table, ToCsvSkipsRules) {
   std::ostringstream os;
   t.to_csv(os);
   EXPECT_EQ(os.str(), "a,b\n1,2\n3,\"4,5\"\n");
+}
+
+TEST(Table, PadsSparklineCellsByDisplayWidth) {
+  const std::vector<double> series = {0, 3, 1, 4, 1, 5, 9, 2, 6};
+  const std::string spark = sparkline(series);
+  ASSERT_GT(spark.size(), series.size());  // multi-byte UTF-8 blocks
+  TextTable t({"series", "trend", "n"},
+              {Align::Left, Align::Left, Align::Right});
+  t.add_row({"rounds", spark, "9"});
+  t.add_row({"a-much-longer-label", "flat", "12345"});
+  const std::string out = t.render();
+  // Count code points, not bytes: every line must be equally wide.
+  std::istringstream lines(out);
+  std::string line;
+  std::set<std::size_t> widths;
+  while (std::getline(lines, line)) {
+    std::size_t width = 0;
+    for (const char c : line) {
+      if ((static_cast<unsigned char>(c) & 0xC0) != 0x80) ++width;
+    }
+    widths.insert(width);
+  }
+  EXPECT_EQ(widths.size(), 1u) << out;
+  EXPECT_NE(out.find(spark), std::string::npos);
 }
 
 TEST(Table, CsvEscaping) {
