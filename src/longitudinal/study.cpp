@@ -191,12 +191,13 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
 
 void Study::derive_from_initial(State& state) {
   StudyReport& report = state.report;
+  const scan::CampaignReport& initial = report.initial->report();
   state.pool = std::make_unique<util::ThreadPool>(config_.threads);
 
   // Everything downstream walks outcomes in ascending address order: label
   // slots, RNG draw order, and report assembly all key off these positions.
   const std::vector<const scan::AddressOutcome*> initial_sorted =
-      report.initial.sorted_outcomes();
+      initial.sorted_outcomes();
 
   // Collect vulnerable addresses and the test kind that measured them.
   state.working_test.reserve(initial_sorted.size());
@@ -232,13 +233,13 @@ void Study::derive_from_initial(State& state) {
   // Vulnerable domains and their vulnerable addresses.
   const auto& domains = fleet_.domains();
   for (std::size_t i = 0; i < domains.size(); ++i) {
-    const auto& outcome = report.initial.domains[i];
+    const auto& outcome = initial.domains[i];
     if (!outcome.vulnerable) continue;
     DomainTrack track;
     track.domain_index = i;
     for (const auto& address : domains[i].addresses) {
-      const auto it = report.initial.addresses.find(address);
-      if (it != report.initial.addresses.end() && it->second.vulnerable()) {
+      const auto it = initial.addresses.find(address);
+      if (it != initial.addresses.end() && it->second.vulnerable()) {
         track.vulnerable_addresses.push_back(address);
       }
     }
@@ -316,8 +317,8 @@ Study::State Study::begin() {
   // Streaming target source: the round never materialises a TargetDomain
   // vector, which is what lets a lazy fleet run at populations the eager
   // copy could not hold (DESIGN.md §14).
-  state.report.initial = campaign.run(fleet_.target_source());
-  state.report.degradation.merge(state.report.initial.degradation);
+  state.report.initial = snapshot::freeze(campaign.run(fleet_.target_source()));
+  state.report.degradation.merge(state.report.initial->report().degradation);
 
   derive_from_initial(state);
   return state;
@@ -636,6 +637,14 @@ Study::State Study::restore(const snapshot::StudySnapshot& snap) {
         "snapshot has " + std::to_string(snap.rounds_done) +
         " completed rounds, the study only has " +
         std::to_string(round_times_.size()));
+  }
+
+  // derive_from_initial() reads one domain outcome per fleet domain.
+  if (snap.initial == nullptr ||
+      snap.initial->report().domains.size() != fleet_.domains().size()) {
+    throw snapshot::SnapshotError(
+        "snapshot's initial report does not cover this fleet's " +
+        std::to_string(fleet_.domains().size()) + " domains");
   }
 
   State state;

@@ -94,8 +94,9 @@ struct DomainTrack {
 };
 
 struct StudyReport {
-  // Initial measurement.
-  scan::CampaignReport initial;
+  // Initial measurement: the one frozen report begin() built, shared with
+  // every checkpoint captured along the way.
+  snapshot::SharedReport initial;
   std::size_t initially_vulnerable_addresses = 0;
   std::size_t initially_vulnerable_domains = 0;
   // §6.1: addresses whose initial result was inconclusive but potentially
@@ -144,7 +145,8 @@ class Study {
   // begin() or restore(); advanced by run_round(); consumed by finish().
   // The derived members (vulnerable set, notifications, patch plan, tracks)
   // are pure functions of report.initial, so capture() serialises only the
-  // loop-carried core and restore() recomputes the rest.
+  // loop-carried core and restore() recomputes the rest. capture(),
+  // restore() and finish() share report.initial; none of them copies it.
   struct State {
     StudyReport report;
     util::Rng loss_rng{0};

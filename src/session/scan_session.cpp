@@ -142,11 +142,11 @@ void ScanSession::write_checkpoint(const longitudinal::Study& study,
 }
 
 const scan::CampaignReport& ScanSession::initial() {
-  if (initial_.has_value()) return *initial_;
+  if (initial_ != nullptr) return initial_->report();
   if (study_report_.has_value()) {
     // The study ran its own initial campaign; expose it.
     initial_ = study_report_->initial;
-    return *initial_;
+    return initial_->report();
   }
 
   if (!config_.resume_path.empty()) {
@@ -185,7 +185,7 @@ const scan::CampaignReport& ScanSession::initial() {
     initial_ = snap.initial;
     std::cerr << "resume: restored completed campaign from "
               << config_.resume_path << "\n";
-    return *initial_;
+    return initial_->report();
   }
 
   discard_orphan_checkpoint();
@@ -201,7 +201,7 @@ const scan::CampaignReport& ScanSession::initial() {
                           fleet());
   // Stream targets straight from the fleet's compact records — no
   // std::string/vector copies of the whole population (DESIGN.md §14).
-  initial_ = campaign.run(fleet().target_source());
+  initial_ = snapshot::freeze(campaign.run(fleet().target_source()));
   if (config_.metrics()) record_metric_line("initial");
 
   if (!config_.checkpoint_path.empty()) {
@@ -213,8 +213,8 @@ const scan::CampaignReport& ScanSession::initial() {
     snap.meta.fault_rate = config_.faults.rate;
     snap.meta.tracing = config_.tracing();
     snap.clock_now = fleet().clock().now();
-    snap.initial = *initial_;
-    snap.degradation = initial_->degradation;
+    snap.initial = initial_;
+    snap.degradation = initial_->report().degradation;
     if (config_.tracing()) snap.trace = trace_.frames();
     if (config_.metrics()) {
       snap.has_metrics = true;
@@ -229,7 +229,7 @@ const scan::CampaignReport& ScanSession::initial() {
     std::cerr << "checkpoint: wrote " << config_.checkpoint_path
               << " (campaign)\n";
   }
-  return *initial_;
+  return initial_->report();
 }
 
 const longitudinal::StudyReport* ScanSession::study() {

@@ -123,7 +123,8 @@ class ScanSession {
   obs::Registry metrics_;
   std::vector<std::string> metric_lines_;
   std::unique_ptr<population::Fleet> fleet_;
-  std::optional<scan::CampaignReport> initial_;
+  // Shared with the study report or the campaign checkpoint, never copied.
+  snapshot::SharedReport initial_;
   std::optional<longitudinal::StudyReport> study_report_;
   bool study_ran_ = false;
   bool halted_ = false;

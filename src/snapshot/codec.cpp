@@ -20,6 +20,22 @@ void Writer::str(std::string_view v) {
   bytes_.append(v.data(), v.size());
 }
 
+std::size_t Writer::open_length() {
+  const std::size_t at = bytes_.size();
+  u32(0);
+  return at;
+}
+
+void Writer::close_length(std::size_t at) {
+  const std::size_t length = bytes_.size() - at - 4;
+  if (length > std::numeric_limits<std::uint32_t>::max()) {
+    throw SnapshotError("string exceeds u32 length prefix");
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes_[at + i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+  }
+}
+
 std::uint64_t Reader::unsigned_le(int width) {
   if (remaining() < static_cast<std::size_t>(width)) {
     throw SnapshotError("truncated input (wanted " + std::to_string(width) +

@@ -31,7 +31,16 @@ class Writer {
   void f64(double v);  // IEEE-754 bit pattern
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view v);
+  // Already-encoded bytes, appended verbatim (no length prefix).
+  void raw(std::string_view v) { bytes_.append(v.data(), v.size()); }
 
+  // A u32 length prefix written ahead of its body: open_length() writes a
+  // placeholder and returns its offset, close_length() patches in the count
+  // of bytes written since. Throws if that count exceeds a u32.
+  std::size_t open_length();
+  void close_length(std::size_t at);
+
+  void reserve(std::size_t capacity) { bytes_.reserve(capacity); }
   const std::string& bytes() const noexcept { return bytes_; }
   std::string take() { return std::move(bytes_); }
 

@@ -179,9 +179,19 @@ scan::CampaignReport get_report(Reader& r) {
   scan::CampaignReport report;
   report.suite_label = r.str();
   const std::uint64_t outcomes = r.u64();
+  util::IpAddress previous;
   for (std::uint64_t i = 0; i < outcomes; ++i) {
     scan::AddressOutcome outcome = get_outcome(r);
     const util::IpAddress address = outcome.address;
+    // put_report writes strictly ascending addresses. A repeat would collapse
+    // in the map and a reordering would re-encode differently, so either
+    // means these bytes are not the codec's own.
+    if (i > 0 && !(previous < address)) {
+      throw SnapshotError("outcome " + address.to_string() +
+                          " does not follow " + previous.to_string() +
+                          " in strictly ascending address order");
+    }
+    previous = address;
     report.addresses.emplace(address, std::move(outcome));
   }
   const std::uint64_t domains = r.u64();

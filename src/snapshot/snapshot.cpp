@@ -41,44 +41,57 @@ std::string to_string(SnapshotKind kind) {
   return "unknown";
 }
 
+std::string_view FrozenReport::encoded() const {
+  std::call_once(encode_once_, [this] {
+    Writer w;
+    put_report(w, report_);
+    encoded_ = w.take();
+  });
+  return encoded_;
+}
+
+SharedReport freeze(scan::CampaignReport report) {
+  return std::make_shared<const FrozenReport>(std::move(report));
+}
+
 std::string StudySnapshot::encode() const {
-  Writer payload;
-  payload.u64(rounds_done);
-  payload.i64(clock_now);
-  for (const std::uint64_t word : loss_rng) payload.u64(word);
-  payload.u64(suites_issued);
-  put_report(payload, initial);
-  put_degradation(payload, degradation);
-  payload.u64(remeasurable_resolved_vulnerable);
-  payload.u64(remeasurable_resolved_compliant);
-  payload.u64(remeasurable.size());
+  // Every payload field after the initial report, staged so the container
+  // can be sized once: it is small next to the report's cached section.
+  Writer tail;
+  put_degradation(tail, degradation);
+  tail.u64(remeasurable_resolved_vulnerable);
+  tail.u64(remeasurable_resolved_compliant);
+  tail.u64(remeasurable.size());
   for (const auto& [address, slot] : remeasurable) {
-    put_address(payload, address);
-    payload.u64(slot);
+    put_address(tail, address);
+    tail.u64(slot);
   }
-  payload.u64(blacklisted.size());
-  for (const auto& address : blacklisted) put_address(payload, address);
-  payload.u64(patched.size());
-  for (const auto& address : patched) put_address(payload, address);
-  payload.u64(series.size());
+  tail.u64(blacklisted.size());
+  for (const auto& address : blacklisted) put_address(tail, address);
+  tail.u64(patched.size());
+  for (const auto& address : patched) put_address(tail, address);
+  tail.u64(series.size());
   for (const auto& observations : series) {
-    payload.u64(observations.size());
-    for (const auto obs : observations) payload.u8(encode_enum(obs));
+    tail.u64(observations.size());
+    for (const auto obs : observations) tail.u8(encode_enum(obs));
   }
-  payload.u64(hosts.size());
-  for (const auto& host : hosts) put_host_state(payload, host);
-  payload.u64(trace.size());
-  for (const auto& frame : trace) put_frame(payload, frame);
+  tail.u64(hosts.size());
+  for (const auto& host : hosts) put_host_state(tail, host);
+  tail.u64(trace.size());
+  for (const auto& frame : trace) put_frame(tail, frame);
   if (has_metrics) {
-    payload.u8(kMetricsMarker);
-    metrics.encode(payload);
-    payload.u64(metric_lines.size());
-    for (const auto& line : metric_lines) payload.str(line);
+    tail.u8(kMetricsMarker);
+    metrics.encode(tail);
+    tail.u64(metric_lines.size());
+    for (const auto& line : metric_lines) tail.str(line);
   }
   if (has_strings) {
-    payload.u8(kStringsMarker);
-    strings.encode(payload);
+    tail.u8(kStringsMarker);
+    strings.encode(tail);
   }
+
+  static const FrozenReport kNoReport{scan::CampaignReport{}};
+  const std::string_view report = (initial ? *initial : kNoReport).encoded();
 
   Writer out;
   for (const char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
@@ -90,8 +103,18 @@ std::string StudySnapshot::encode() const {
   out.u64(meta.fault_seed);
   out.f64(meta.fault_rate);
   out.boolean(meta.tracing);
-  out.str(payload.bytes());
-  out.u64(payload_checksum(payload.bytes()));
+  const std::size_t length_at = out.open_length();
+  out.u64(rounds_done);
+  out.i64(clock_now);
+  for (const std::uint64_t word : loss_rng) out.u64(word);
+  out.u64(suites_issued);
+  out.reserve(out.bytes().size() + report.size() + tail.bytes().size() + 8);
+  out.raw(report);
+  out.raw(tail.bytes());
+  out.close_length(length_at);
+  const std::string_view payload =
+      std::string_view(out.bytes()).substr(length_at + 4);
+  out.u64(payload_checksum(payload));
   return out.take();
 }
 
@@ -130,7 +153,7 @@ StudySnapshot StudySnapshot::decode(std::string_view bytes) {
   snap.clock_now = payload.i64();
   for (auto& word : snap.loss_rng) word = payload.u64();
   snap.suites_issued = payload.u64();
-  snap.initial = get_report(payload);
+  snap.initial = freeze(get_report(payload));
   snap.degradation = get_degradation(payload);
   snap.remeasurable_resolved_vulnerable = payload.u64();
   snap.remeasurable_resolved_compliant = payload.u64();

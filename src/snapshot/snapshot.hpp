@@ -14,7 +14,8 @@
 // run, at any thread count.
 //
 // Layout: magic, format version, meta block, then a u32-length-prefixed
-// payload followed by its fnv1a-64 checksum. Decoding rejects a wrong magic,
+// payload followed by an fnv1a-64 checksum of the payload bytes (the meta
+// block is checked field by field on restore). Decoding rejects a wrong magic,
 // any version other than kSnapshotVersion (forward compatibility is refusal,
 // not guessing), a checksum mismatch, truncation, trailing bytes, and any
 // unmapped enum byte (snapshot/enums.hpp).
@@ -22,7 +23,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,6 +69,35 @@ struct SnapshotMeta {
   friend bool operator==(const SnapshotMeta&, const SnapshotMeta&) = default;
 };
 
+// The study's initial campaign report, frozen when the campaign returns. It
+// never changes after begin(), so one immutable object is shared — never
+// copied — by the live study state, every capture of it, and the finished
+// StudyReport, and it carries its own encoded snapshot section: the first
+// encode() that needs the bytes builds them, every later checkpoint appends
+// them as they are. Report and bytes live in one object so the cache cannot
+// drift from the report it encodes.
+class FrozenReport {
+ public:
+  explicit FrozenReport(scan::CampaignReport report)
+      : report_(std::move(report)) {}
+
+  const scan::CampaignReport& report() const noexcept { return report_; }
+
+  // put_report(report()), built on the first call. Safe to call from
+  // several threads: snapshots that share a report may encode concurrently.
+  std::string_view encoded() const;
+
+ private:
+  const scan::CampaignReport report_;
+  mutable std::once_flag encode_once_;
+  mutable std::string encoded_;
+};
+
+using SharedReport = std::shared_ptr<const FrozenReport>;
+
+// Move `report` into a new shared FrozenReport.
+SharedReport freeze(scan::CampaignReport report);
+
 // Everything the study loop carries across a round boundary. `rounds_done`
 // counts completed longitudinal rounds: 0 means "initial measurement,
 // notification campaign, and patch planning done; no longitudinal round
@@ -78,7 +111,9 @@ struct StudySnapshot {
   std::array<std::uint64_t, 4> loss_rng{};  // mid-stream xoshiro position
   std::uint64_t suites_issued = 0;          // label-allocator replay cursor
 
-  scan::CampaignReport initial;
+  // The initial report, shared with the state it was captured from. Null
+  // only in a hand-built snapshot, which encodes an empty report.
+  SharedReport initial;
   faults::DegradationReport degradation;  // study-wide merged counters
 
   std::uint64_t remeasurable_resolved_vulnerable = 0;

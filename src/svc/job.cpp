@@ -189,7 +189,8 @@ std::string Job::finish_report() {
   out << "spfail svc report: job " << spec_.id << "\n"
       << "scale " << spec_.scale << " seed " << spec_.seed << " study-seed "
       << spec_.study_seed << " fault-rate " << spec_.fault_rate << "\n"
-      << "addresses tested " << report.initial.addresses_tested() << "\n"
+      << "addresses tested " << report.initial->report().addresses_tested()
+      << "\n"
       << "initially vulnerable addresses "
       << report.initially_vulnerable_addresses << "\n"
       << "initially vulnerable domains "

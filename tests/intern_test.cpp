@@ -353,7 +353,9 @@ snapshot::StudySnapshot tiny_snapshot() {
   snap.meta.fleet_seed = 2021;
   snap.meta.scale = 0.01;
   snap.clock_now = 1234;
-  snap.initial.suite_label = "suite0";
+  scan::CampaignReport initial;
+  initial.suite_label = "suite0";
+  snap.initial = snapshot::freeze(std::move(initial));
   return snap;
 }
 

@@ -117,7 +117,8 @@ StudySnapshot sample_snapshot() {
   snap.loss_rng = {1, 2, 3, 4};
   snap.suites_issued = 4;
 
-  snap.initial.suite_label = "suite-1";
+  scan::CampaignReport initial;
+  initial.suite_label = "suite-1";
   scan::AddressOutcome outcome;
   outcome.address = util::IpAddress::v4(11, 0, 0, 1);
   scan::ProbeResult nomsg;
@@ -136,7 +137,7 @@ StudySnapshot sample_snapshot() {
   outcome.probe_attempts = 2;
   outcome.retries_used = 1;
   outcome.saw_transient = true;
-  snap.initial.addresses.emplace(outcome.address, outcome);
+  initial.addresses.emplace(outcome.address, outcome);
 
   scan::DomainOutcome domain;
   domain.domain = "example.org";
@@ -144,8 +145,9 @@ StudySnapshot sample_snapshot() {
   domain.any_measured = true;
   domain.vulnerable = true;
   domain.behaviors = {spfvuln::SpfBehavior::VulnerableLibspf2};
-  snap.initial.domains.push_back(domain);
-  snap.initial.degradation.probe_attempts = 9;
+  initial.domains.push_back(domain);
+  initial.degradation.probe_attempts = 9;
+  snap.initial = freeze(std::move(initial));
 
   snap.degradation.probe_attempts = 11;
   snap.degradation.retries = 2;
@@ -186,20 +188,22 @@ TEST(Snapshot, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(decoded.clock_now, snap.clock_now);
   EXPECT_EQ(decoded.loss_rng, snap.loss_rng);
   EXPECT_EQ(decoded.suites_issued, snap.suites_issued);
-  EXPECT_EQ(decoded.initial.suite_label, snap.initial.suite_label);
-  ASSERT_EQ(decoded.initial.addresses.size(), 1u);
+  const scan::CampaignReport& initial = snap.initial->report();
+  const scan::CampaignReport& decoded_initial = decoded.initial->report();
+  EXPECT_EQ(decoded_initial.suite_label, initial.suite_label);
+  ASSERT_EQ(decoded_initial.addresses.size(), 1u);
   const auto& outcome =
-      decoded.initial.addresses.at(util::IpAddress::v4(11, 0, 0, 1));
+      decoded_initial.addresses.at(util::IpAddress::v4(11, 0, 0, 1));
   ASSERT_TRUE(outcome.nomsg.has_value());
   EXPECT_FALSE(outcome.blankmsg.has_value());
   EXPECT_EQ(outcome.nomsg->status, scan::ProbeStatus::SpfMeasured);
   EXPECT_EQ(outcome.nomsg->mail_from_domain.to_string(),
-            snap.initial.addresses.begin()
+            initial.addresses.begin()
                 ->second.nomsg->mail_from_domain.to_string());
   EXPECT_EQ(outcome.nomsg->injected, faults::FaultKind::SmtpTempfail);
   EXPECT_EQ(outcome.probe_attempts, 2);
-  ASSERT_EQ(decoded.initial.domains.size(), 1u);
-  EXPECT_EQ(decoded.initial.domains[0].domain, "example.org");
+  ASSERT_EQ(decoded_initial.domains.size(), 1u);
+  EXPECT_EQ(decoded_initial.domains[0].domain, "example.org");
   EXPECT_EQ(decoded.degradation.probe_attempts, 11u);
   EXPECT_EQ(decoded.remeasurable, snap.remeasurable);
   EXPECT_EQ(decoded.blacklisted, snap.blacklisted);
@@ -376,6 +380,44 @@ void expect_decodes_or_rejects(const std::string& bytes,
     // A clean rejection.
   } catch (const std::exception& e) {
     ADD_FAILURE() << which << " escaped as a non-SnapshotError: " << e.what();
+  }
+}
+
+TEST(SnapshotCodec, RejectsDuplicateOrUnorderedOutcomeAddresses) {
+  // put_report writes outcomes in strictly ascending address order, so a
+  // checksummed payload that repeats an address or lists two out of order
+  // was not written by this codec. Decoding must refuse it, not keep one of
+  // the duplicates or quietly re-sort.
+  StudySnapshot snap = sample_snapshot();
+  scan::AddressOutcome second;
+  second.address = util::IpAddress::v4(11, 0, 0, 9);
+  second.verdict = scan::AddressVerdict::Refused;
+  scan::CampaignReport report = snap.initial->report();
+  const scan::AddressOutcome first =
+      report.addresses.at(util::IpAddress::v4(11, 0, 0, 1));
+  report.addresses.emplace(second.address, second);
+  snap.initial = freeze(std::move(report));
+
+  Writer count, lower, higher;
+  count.u64(2);
+  put_outcome(lower, first);
+  put_outcome(higher, second);
+  const Framed base = unframe(snap.encode());
+  const std::string ordered = count.bytes() + lower.bytes() + higher.bytes();
+  const std::size_t at = base.payload.find(ordered);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_NO_THROW(StudySnapshot::decode(reframe(base.header, base.payload)));
+
+  const std::pair<const char*, std::string> cases[] = {
+      {"duplicate", count.bytes() + lower.bytes() + lower.bytes()},
+      {"swapped", count.bytes() + higher.bytes() + lower.bytes()},
+  };
+  for (const auto& [name, outcomes] : cases) {
+    std::string payload = base.payload;
+    payload.replace(at, ordered.size(), outcomes);
+    EXPECT_THROW(StudySnapshot::decode(reframe(base.header, payload)),
+                 SnapshotError)
+        << name;
   }
 }
 

@@ -149,7 +149,7 @@ void serialize_campaign(std::ostringstream& out,
 std::string serialize_study(population::Fleet& fleet,
                             const longitudinal::StudyReport& report) {
   std::ostringstream out;
-  serialize_campaign(out, report.initial);
+  serialize_campaign(out, report.initial->report());
   out << "vuln_addr=" << report.initially_vulnerable_addresses
       << " vuln_dom=" << report.initially_vulnerable_domains
       << " remeas=" << report.remeasurable_addresses
@@ -166,7 +166,7 @@ std::string serialize_study(population::Fleet& fleet,
     out << "\n";
   }
   for (const scan::AddressOutcome* outcome :
-       report.initial.sorted_outcomes()) {
+       report.initial->report().sorted_outcomes()) {
     if (!outcome->vulnerable()) continue;
     out << outcome->address.to_string() << " states=";
     for (const auto state : report.inference.states(outcome->address)) {
