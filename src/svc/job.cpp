@@ -167,8 +167,8 @@ void Job::ensure_rounds(std::size_t target) {
   while (state_->next_round < target) study_->run_round(*state_);
 }
 
-void Job::checkpoint() {
-  snapshot::save_atomically(ckpt_path_, study_->capture(*state_).encode());
+std::string Job::encode_checkpoint() const {
+  return study_->capture(*state_).encode();
 }
 
 std::string Job::finish_report() {

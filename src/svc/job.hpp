@@ -9,8 +9,9 @@
 // Job is the runtime: it owns the Fleet + longitudinal Study of one run and
 // drives the same round-boundary seam ScanSession uses for checkpointing
 // (begin / run_round / finish, capture / restore), but paced externally —
-// the ServiceLoop asks for a few rounds per tick per job and checkpoints
-// each job independently under <dir>/<job-id>.ckpt. ensure_rounds() is
+// the ServiceLoop asks for a few rounds per tick per job on the job's own
+// thread, then writes each job's checkpoint bytes independently under
+// <dir>/<job-id>.ckpt from the loop's thread. ensure_rounds() is
 // skip-ahead: if the restored checkpoint is already at or past the target
 // round (the service died between a job checkpoint and the service-state
 // save), it runs nothing, so a resumed service replays its schedule without
@@ -110,8 +111,9 @@ class Job {
   // at or below rounds_done() runs nothing (skip-ahead on resume).
   void ensure_rounds(std::size_t target);
 
-  // Serialise the study state to ckpt_path atomically (round boundary only).
-  void checkpoint();
+  // The study state at its round boundary, encoded as the checkpoint the
+  // caller writes to ckpt_path.
+  std::string encode_checkpoint() const;
 
   // Finish the study (consumes the state) and render the deterministic
   // run report: the scan roll-up plus one outcome block per staged scenario.

@@ -1,9 +1,13 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
+#include <functional>
+#include <mutex>
 #include <ostream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "obs/export.hpp"
@@ -106,6 +110,76 @@ SvcConfig svc_config_from_args(int argc, const char* const* argv) {
 std::string svc_flag_table_markdown() {
   return session::flag_table_markdown_for(svc_flag_registry());
 }
+
+// The thread one job runs on from open to teardown. Keeping a job on one
+// thread keeps its fleet, rounds and teardown allocating in one malloc
+// arena, and gives its lane-scoped state (SimClock, LogLane, WireTrace
+// lanes: one per thread) a thread no other job shares. The loop starts one
+// step per tick and waits for it before the commit phase.
+class ServiceLoop::JobThread {
+ public:
+  JobThread() : thread_([this] { serve(); }) {}
+
+  ~JobThread() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    wake_.notify_all();
+    thread_.join();
+  }
+
+  JobThread(const JobThread&) = delete;
+  JobThread& operator=(const JobThread&) = delete;
+
+  // Run `step` on this thread. The previous step must have been awaited.
+  void start(std::function<void()> step) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      step_ = std::move(step);
+      error_ = nullptr;
+      done_ = false;
+    }
+    wake_.notify_all();
+  }
+
+  // Block until the started step returned; what it threw, if anything.
+  std::exception_ptr wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    wake_.wait(lock, [this] { return done_; });
+    return error_;
+  }
+
+ private:
+  void serve() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      wake_.wait(lock, [this] { return stopping_ || step_ != nullptr; });
+      if (step_ == nullptr) return;
+      std::function<void()> step = std::move(step_);
+      step_ = nullptr;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        step();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      error_ = std::move(error);
+      done_ = true;
+      wake_.notify_all();
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;  // a step started, finished, or stopping
+  std::function<void()> step_;    // guarded by mutex_
+  std::exception_ptr error_;      // guarded by mutex_
+  bool done_ = true;              // guarded by mutex_
+  bool stopping_ = false;         // guarded by mutex_
+  std::thread thread_;            // last: starts once the rest exists
+};
 
 std::string to_string(ServiceLoop::Status status) {
   switch (status) {
@@ -297,56 +371,93 @@ void ServiceLoop::admission_pass() {
 }
 
 void ServiceLoop::run_pass() {
+  // Compute: every runnable job advances its tick at once, each on its own
+  // thread. Threads are made before any step starts, so a failed spawn
+  // leaves no step running.
+  std::vector<JobRecord*> runnable;
   for (JobRecord& rec : jobs_) {
     if (rec.phase != JobPhase::Admitted && rec.phase != JobPhase::Running &&
         rec.phase != JobPhase::Checkpointed) {
       continue;
     }
-    if (!rec.job) {
-      rec.job = std::make_unique<Job>(rec.spec, ckpt_path(rec));
-      rec.job->open();
-    }
+    if (!rec.thread) rec.thread = std::make_unique<JobThread>();
+    runnable.push_back(&rec);
+  }
+  for (JobRecord* rec : runnable) {
+    rec->thread->start([this, rec] { compute_step(*rec); });
+  }
+  std::vector<std::exception_ptr> errors;
+  errors.reserve(runnable.size());
+  for (JobRecord* rec : runnable) errors.push_back(rec->thread->wait());
+
+  // Commit: the serial pass's side effects, in submit order.
+  for (std::size_t i = 0; i < runnable.size(); ++i) {
+    commit_step(*runnable[i], errors[i]);
+  }
+}
+
+void ServiceLoop::compute_step(JobRecord& rec) const {
+  Step& step = rec.step;
+  step = Step{};
+  if (!rec.job) {
+    rec.job = std::make_unique<Job>(rec.spec, ckpt_path(rec));
+    rec.job->open();
+  }
+  step.opened = true;
+
+  step.total = rec.job->total_rounds();
+  step.target = std::min(
+      step.total, static_cast<std::size_t>(rec.rounds_done) +
+                      static_cast<std::size_t>(config_.rounds_per_tick));
+  // Skip-ahead: after a torn tick the job's own checkpoint may already be
+  // at `target`; ensure_rounds then re-executes nothing and the commit
+  // replays the original events/metrics exactly.
+  rec.job->ensure_rounds(step.target);
+  if (step.target < step.total) {
+    step.bytes = rec.job->encode_checkpoint();
+  } else {
+    step.bytes = rec.job->finish_report();
+    rec.job.reset();
+  }
+}
+
+void ServiceLoop::commit_step(JobRecord& rec,
+                              const std::exception_ptr& error) {
+  const Step step = std::exchange(rec.step, Step{});
+  if (step.opened) {
     if (rec.phase == JobPhase::Admitted) {
       event("running job=" + rec.spec.id + " run=" + std::to_string(rec.run));
     }
     rec.phase = JobPhase::Running;
+  }
+  if (error) std::rethrow_exception(error);
 
-    const std::size_t total = rec.job->total_rounds();
-    const std::size_t target = std::min(
-        total, static_cast<std::size_t>(rec.rounds_done) +
-                   static_cast<std::size_t>(config_.rounds_per_tick));
-    // Skip-ahead: after a torn tick the job's own checkpoint may already be
-    // at `target`; ensure_rounds then re-executes nothing and the schedule
-    // below replays the original events/metrics exactly.
-    rec.job->ensure_rounds(target);
-    registry_.counter("svc_rounds_total") += target - rec.rounds_done;
-    rec.rounds_done = target;
+  registry_.counter("svc_rounds_total") += step.target - rec.rounds_done;
+  rec.rounds_done = step.target;
 
-    if (target < total) {
-      rec.job->checkpoint();
-      rec.phase = JobPhase::Checkpointed;
-      event("checkpointed job=" + rec.spec.id + " rounds=" +
-            std::to_string(target) + "/" + std::to_string(total));
-      maybe_kill(KillPoint::AfterJobCheckpoint);
+  if (step.target < step.total) {
+    snapshot::save_atomically(ckpt_path(rec), step.bytes);
+    rec.phase = JobPhase::Checkpointed;
+    event("checkpointed job=" + rec.spec.id + " rounds=" +
+          std::to_string(step.target) + "/" + std::to_string(step.total));
+    maybe_kill(KillPoint::AfterJobCheckpoint);
+  } else {
+    snapshot::save_atomically(report_path(rec), step.bytes);
+    rec.thread.reset();
+    ++registry_.counter("svc_jobs_completed_total");
+    event("done job=" + rec.spec.id + " run=" + std::to_string(rec.run) +
+          " rounds=" + std::to_string(step.total));
+    maybe_kill(KillPoint::AfterReportWrite);
+    if (!drain_ && rec.run < rec.spec.runs) {
+      rec.run += 1;
+      rec.rounds_done = 0;
+      rec.next_run_tick = tick_ + rec.spec.recur;
+      rec.defer_budget_left = config_.admission.defer_budget;
+      rec.phase = JobPhase::Waiting;
+      event("waiting job=" + rec.spec.id + " next-run-tick=" +
+            std::to_string(rec.next_run_tick));
     } else {
-      const std::string report = rec.job->finish_report();
-      snapshot::save_atomically(report_path(rec), report);
-      rec.job.reset();
-      ++registry_.counter("svc_jobs_completed_total");
-      event("done job=" + rec.spec.id + " run=" + std::to_string(rec.run) +
-            " rounds=" + std::to_string(total));
-      maybe_kill(KillPoint::AfterReportWrite);
-      if (!drain_ && rec.run < rec.spec.runs) {
-        rec.run += 1;
-        rec.rounds_done = 0;
-        rec.next_run_tick = tick_ + rec.spec.recur;
-        rec.defer_budget_left = config_.admission.defer_budget;
-        rec.phase = JobPhase::Waiting;
-        event("waiting job=" + rec.spec.id + " next-run-tick=" +
-              std::to_string(rec.next_run_tick));
-      } else {
-        rec.phase = JobPhase::Done;
-      }
+      rec.phase = JobPhase::Done;
     }
   }
 }
@@ -462,8 +573,26 @@ void ServiceLoop::restore_state() {
       throw snapshot::SnapshotError("svc state: bad job phase");
     }
     rec.phase = static_cast<JobPhase>(phase);
+    // Admitted and Running live only inside a tick; no save records them.
+    if (rec.phase == JobPhase::Admitted || rec.phase == JobPhase::Running) {
+      throw snapshot::SnapshotError("svc state: job '" + rec.spec.id +
+                                    "' saved mid-tick as " +
+                                    to_string(rec.phase));
+    }
     rec.run = r.u32();
+    if (rec.run == 0 || rec.run > rec.spec.runs) {
+      throw snapshot::SnapshotError("svc state: job '" + rec.spec.id +
+                                    "' run " + std::to_string(rec.run) +
+                                    " outside 1.." +
+                                    std::to_string(rec.spec.runs));
+    }
     rec.rounds_done = r.u64();
+    if (rec.rounds_done > longitudinal::Study::standard_round_count()) {
+      throw snapshot::SnapshotError(
+          "svc state: job '" + rec.spec.id + "' rounds_done " +
+          std::to_string(rec.rounds_done) + " past the study's " +
+          std::to_string(longitudinal::Study::standard_round_count()));
+    }
     rec.submit_tick = r.u64();
     rec.admit_tick = r.u64();
     rec.next_run_tick = r.u64();

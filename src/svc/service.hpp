@@ -10,7 +10,7 @@
 //
 // Determinism discipline: a tick is a fixed serial sequence (consume
 // commands, refill buckets, wake recurrences, admission in priority order,
-// run/checkpoint in submit order, export metrics, save state), and every
+// run, commit in submit order, export metrics, save state), and every
 // piece of cross-tick state — the queue, the admission controller, the
 // metrics registry, the event log, the consumed-command count — rides the
 // service state file <dir>/svc_state, saved atomically at the end of every
@@ -21,9 +21,16 @@
 // metrics from the deterministic schedule and re-executes only rounds whose
 // checkpoints were lost. Final reports, the event log, and the metric files
 // come out byte-identical to an uninterrupted service.
+//
+// The run step is the only concurrent part: every runnable job computes its
+// tick at once, each on a thread it owns from open to teardown, and the
+// loop's thread then commits their side effects (files, events, metrics,
+// kill points, rethrown failures) in submit order, exactly as a serial pass
+// would have.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -116,6 +123,16 @@ class ServiceLoop {
   std::optional<JobPhase> job_phase(std::string_view id) const;
 
  private:
+  class JobThread;
+
+  // One tick of one job as its thread computed it, for the commit phase.
+  struct Step {
+    bool opened = false;     // the job was open when its rounds started
+    std::size_t target = 0;  // rounds done once the tick commits
+    std::size_t total = 0;
+    std::string bytes;       // the checkpoint, or the final report
+  };
+
   struct JobRecord {
     JobSpec spec;
     std::uint64_t seq = 0;  // global submit order, ties broken by this
@@ -130,6 +147,10 @@ class ServiceLoop {
     std::uint64_t force_runs = 0;
     std::vector<std::uint64_t> nets;   // cached target footprint
     std::unique_ptr<Job> job;          // runtime; rebuilt lazily on resume
+    Step step;                         // this tick's compute-phase result
+    // Runs the job from open to teardown; declared last so it is joined
+    // before the members its steps write are destroyed.
+    std::unique_ptr<JobThread> thread;
   };
 
   std::string state_path() const;
@@ -147,6 +168,12 @@ class ServiceLoop {
   void submit(JobSpec spec);
   void admission_pass();
   void run_pass();
+  // The compute phase of one job's tick, on the job's thread: touches only
+  // `rec`.
+  void compute_step(JobRecord& rec) const;
+  // The commit phase of one job's tick, on the loop's thread: rethrows
+  // `error` at the job's place in submit order.
+  void commit_step(JobRecord& rec, const std::exception_ptr& error);
   void update_gauges();
   std::size_t active_jobs() const;
   bool all_done() const;

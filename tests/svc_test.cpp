@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "snapshot/fields.hpp"
 #include "snapshot/snapshot.hpp"
 #include "svc/admission.hpp"
 #include "svc/control.hpp"
 #include "svc/job.hpp"
 #include "svc/service.hpp"
+#include "util/rng.hpp"
 
 namespace spfail {
 namespace {
@@ -371,57 +373,92 @@ TEST(SvcServiceDeterminism, ReportsInvariantAcrossJobThreadCounts) {
 // Kill the service at every hook point of several ticks; each restart must
 // finish with byte-identical reports, event log, and metric files.
 TEST(SvcServiceRestart, KillAnywhereRestartsByteIdentical) {
-  // Uninterrupted baseline.
-  const std::string base_dir = scratch_dir("kill_base");
-  svc::SvcConfig base = small_config(base_dir);
-  base.admission.bucket_capacity = 1;
-  base.metrics_path = base_dir + "/metrics.jsonl";
-  const std::string script =
-      std::string("submit a ") + kTinyScale + " nets 2\n" +
-      "submit b " + kTinyScale + " seed 5 nets 2\n" + "drain\n";
-  write_file(base.control, script);
-  run_to_drain(base);
-  const std::string want_a = read_file(base.dir + "/a.report");
-  const std::string want_b = read_file(base.dir + "/b.report");
-  const std::string want_events = read_file(base.dir + "/events.log");
-  const std::string want_jsonl = read_file(base.metrics_path);
-  const std::string want_prom = read_file(base.metrics_path + ".prom");
-
   using KP = svc::KillPoint;
-  for (const auto& [tick, point] :
-       std::vector<std::pair<std::uint64_t, KP>>{
-           {0, KP::AfterAdmission},
-           {1, KP::AfterJobCheckpoint},
-           {2, KP::AfterStateSave},
-           {4, KP::AfterJobCheckpoint},
-           {4, KP::AfterReportWrite},
-           {5, KP::AfterStateSave},
-       }) {
-    const std::string dir = scratch_dir(
-        "kill_t" + std::to_string(tick) +
-        "_p" + std::to_string(static_cast<int>(point)));
-    svc::SvcConfig config = small_config(dir);
-    config.admission.bucket_capacity = 1;
-    config.metrics_path = dir + "/metrics.jsonl";
-    write_file(config.control, script);
+  struct Script {
+    std::string name;
+    std::string control;
+    int max_active_jobs;
+    std::vector<std::string> jobs;
+    std::vector<std::pair<std::uint64_t, KP>> kills;
+  };
+  const std::vector<Script> scripts{
+      // Two jobs contending for one network: the second runs behind the
+      // first.
+      {"contend",
+       std::string("submit a ") + kTinyScale + " nets 2\n" + "submit b " +
+           kTinyScale + " seed 5 nets 2\n" + "drain\n",
+       2,
+       {"a", "b"},
+       {{0, KP::AfterAdmission},
+        {1, KP::AfterJobCheckpoint},
+        {2, KP::AfterStateSave},
+        {4, KP::AfterJobCheckpoint},
+        {4, KP::AfterReportWrite},
+        {5, KP::AfterStateSave}}},
+      // Three jobs side by side on every tick: a kill at the first job's
+      // checkpoint or report lands after the other two computed that tick
+      // but before their side effects were committed.
+      {"side",
+       std::string("submit a ") + kTinyScale + " nets 1\n" + "submit b " +
+           kTinyScale + " seed 5 nets 2\n" + "submit c " + kTinyScale +
+           " seed 9 nets 3\n" + "drain\n",
+       3,
+       {"a", "b", "c"},
+       {{1, KP::AfterJobCheckpoint},
+        {3, KP::AfterJobCheckpoint},
+        {4, KP::AfterReportWrite}}},
+  };
 
-    svc::ServiceOptions options;
-    options.kill_at = svc::ServiceOptions::KillAt{tick, point};
-    {
-      svc::ServiceLoop victim(config, options);
-      ASSERT_EQ(victim.run(), svc::ServiceLoop::Status::Killed)
-          << "tick " << tick;
+  for (const Script& script : scripts) {
+    const auto config_in = [&script](const std::string& dir) {
+      svc::SvcConfig config = small_config(dir);
+      config.max_active_jobs = script.max_active_jobs;
+      config.admission.bucket_capacity = 1;
+      config.metrics_path = dir + "/metrics.jsonl";
+      write_file(config.control, script.control);
+      return config;
+    };
+    const auto outputs = [&script](const svc::SvcConfig& config) {
+      std::vector<std::string> files;
+      for (const std::string& job : script.jobs) {
+        files.push_back(read_file(config.dir + "/" + job + ".report"));
+      }
+      files.push_back(read_file(config.dir + "/events.log"));
+      files.push_back(read_file(config.metrics_path));
+      files.push_back(read_file(config.metrics_path + ".prom"));
+      return files;
+    };
+
+    // Uninterrupted baseline.
+    const svc::SvcConfig base =
+        config_in(scratch_dir("kill_" + script.name + "_base"));
+    run_to_drain(base);
+    const std::vector<std::string> want = outputs(base);
+
+    for (const auto& [tick, point] : script.kills) {
+      const svc::SvcConfig config = config_in(scratch_dir(
+          "kill_" + script.name + "_t" + std::to_string(tick) + "_p" +
+          std::to_string(static_cast<int>(point))));
+      svc::ServiceOptions options;
+      options.kill_at = svc::ServiceOptions::KillAt{tick, point};
+      {
+        svc::ServiceLoop victim(config, options);
+        ASSERT_EQ(victim.run(), svc::ServiceLoop::Status::Killed)
+            << script.name << " tick " << tick;
+      }
+      {
+        svc::ServiceLoop revived(config);
+        ASSERT_EQ(revived.run(), svc::ServiceLoop::Status::Drained)
+            << script.name << " tick " << tick;
+      }
+      const std::vector<std::string> got = outputs(config);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i], want[i]) << script.name << " tick " << tick
+                                   << " point " << static_cast<int>(point)
+                                   << " output " << i;
+      }
     }
-    {
-      svc::ServiceLoop revived(config);
-      ASSERT_EQ(revived.run(), svc::ServiceLoop::Status::Drained)
-          << "tick " << tick;
-    }
-    EXPECT_EQ(read_file(config.dir + "/a.report"), want_a);
-    EXPECT_EQ(read_file(config.dir + "/b.report"), want_b);
-    EXPECT_EQ(read_file(config.dir + "/events.log"), want_events);
-    EXPECT_EQ(read_file(config.metrics_path), want_jsonl);
-    EXPECT_EQ(read_file(config.metrics_path + ".prom"), want_prom);
   }
 }
 
@@ -454,6 +491,169 @@ TEST(SvcServiceRestart, CorruptStateFileIsRejected) {
   write_file(config.dir + "/svc_state", state);
   svc::ServiceLoop loop(config);
   EXPECT_THROW(loop.run(), snapshot::SnapshotError);
+}
+
+// One field of the first job record in a saved svc_state.
+enum class RecordField { Phase, Run, RoundsDone };
+
+// Overwrites `field` of job record 0 with `value` and re-frames the file
+// with a valid checksum, so only restore's value checks can refuse it.
+void patch_first_job(const std::string& path, RecordField field,
+                     std::uint64_t value) {
+  constexpr std::size_t kHead = 8 + 2;  // magic, version
+  constexpr std::size_t kTail = 8;      // checksum
+  const std::string file = read_file(path);
+  ASSERT_GT(file.size(), kHead + kTail);
+  std::string payload = file.substr(kHead, file.size() - kHead - kTail);
+  snapshot::Reader r(payload);
+  r.u64();      // completed ticks
+  r.u64();      // seq counter
+  r.u64();      // commands consumed
+  r.boolean();  // drain
+  ASSERT_GE(r.u32(), 1u);
+  svc::JobSpec::decode(r);
+  r.u64();  // seq
+  // The record continues: phase u8, run u32, rounds_done u64, ...
+  const std::size_t phase_at = payload.size() - r.remaining();
+  snapshot::Writer w;
+  std::size_t at = phase_at;
+  switch (field) {
+    case RecordField::Phase:
+      w.u8(static_cast<std::uint8_t>(value));
+      break;
+    case RecordField::Run:
+      w.u32(static_cast<std::uint32_t>(value));
+      at = phase_at + 1;
+      break;
+    case RecordField::RoundsDone:
+      w.u64(value);
+      at = phase_at + 1 + 4;
+      break;
+  }
+  payload.replace(at, w.bytes().size(), w.bytes());
+  snapshot::Writer tail;
+  tail.u64(snapshot::payload_checksum(payload));
+  write_file(path, file.substr(0, kHead) + payload + tail.bytes());
+}
+
+// A record whose values no service could have saved is refused even when
+// its checksum is valid: rounds past the study, run numbers outside
+// [1, runs], and the intra-tick phases Admitted and Running.
+TEST(SvcServiceRestart, RejectsOutOfRangeJobRecords) {
+  struct Case {
+    const char* name;
+    RecordField field;
+    std::uint64_t value;
+    bool valid;
+  };
+  for (const Case& c : {
+           Case{"rounds-as-saved", RecordField::RoundsDone, 16, true},
+           Case{"rounds-past-study", RecordField::RoundsDone, 99, false},
+           Case{"run-zero", RecordField::Run, 0, false},
+           Case{"run-past-runs", RecordField::Run, 2, false},
+           Case{"phase-admitted", RecordField::Phase,
+                static_cast<std::uint64_t>(svc::JobPhase::Admitted), false},
+           Case{"phase-running", RecordField::Phase,
+                static_cast<std::uint64_t>(svc::JobPhase::Running), false},
+       }) {
+    const std::string dir = scratch_dir(std::string("range_") + c.name);
+    svc::SvcConfig config = small_config(dir);
+    write_file(config.control,
+               std::string("submit a ") + kTinyScale + "\ndrain\n");
+    config.max_ticks = 2;  // a is Checkpointed at 16 of 34 rounds
+    {
+      svc::ServiceLoop loop(config);
+      ASSERT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks) << c.name;
+    }
+    patch_first_job(config.dir + "/svc_state", c.field, c.value);
+    config.max_ticks = 0;
+    svc::ServiceLoop loop(config);
+    if (c.valid) {
+      EXPECT_EQ(loop.run(), svc::ServiceLoop::Status::Drained) << c.name;
+    } else {
+      EXPECT_THROW(loop.run(), snapshot::SnapshotError) << c.name;
+    }
+  }
+}
+
+// A job that fails while the tick's jobs run side by side surfaces at its
+// place in submit order: the jobs before it commit their tick, the ones
+// after it and the service state stay as the last completed tick left them.
+TEST(SvcService, JobFailureSurfacesInSubmitOrder) {
+  const std::string dir = scratch_dir("failure_order");
+  svc::SvcConfig config = small_config(dir);
+  config.max_active_jobs = 3;
+  config.max_ticks = 2;
+  write_file(config.control,
+             std::string("submit a ") + kTinyScale + " nets 1\n" +
+                 "submit b " + kTinyScale + " seed 5 nets 2\n" +
+                 "submit c " + kTinyScale + " seed 9 nets 3\ndrain\n");
+  {
+    svc::ServiceLoop loop(config);
+    ASSERT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks);
+    for (const char* id : {"a", "b", "c"}) {
+      ASSERT_EQ(loop.job_phase(id), svc::JobPhase::Checkpointed) << id;
+    }
+  }
+  const std::string a_before = read_file(config.dir + "/a.ckpt");
+  const std::string c_before = read_file(config.dir + "/c.ckpt");
+  const std::string state_before = read_file(config.dir + "/svc_state");
+  std::string b = read_file(config.dir + "/b.ckpt");
+  b[b.size() / 2] ^= 0x5A;
+  write_file(config.dir + "/b.ckpt", b);
+
+  config.max_ticks = 0;
+  svc::ServiceLoop loop(config);
+  EXPECT_THROW(loop.run(), snapshot::SnapshotError);
+  // Binary files: compare without printing them.
+  EXPECT_TRUE(read_file(config.dir + "/a.ckpt") != a_before)
+      << "a committed its tick before b failed";
+  EXPECT_TRUE(read_file(config.dir + "/c.ckpt") == c_before)
+      << "c's tick must not be committed after b failed";
+  EXPECT_TRUE(read_file(config.dir + "/svc_state") == state_before)
+      << "the failed tick must not save svc_state";
+}
+
+// The service's outputs for one fixed script, pinned by fnv1a and length:
+// three slots, a recurring job, a scenario job, and two jobs contending for
+// one network. The constants were captured from the service that advanced
+// its jobs one after another on the loop's thread; running them side by
+// side must not move a byte.
+TEST(SvcGolden, ServiceOutputsArePinned) {
+  const std::string dir = scratch_dir("golden");
+  svc::SvcConfig config = small_config(dir);
+  config.max_active_jobs = 3;
+  config.admission.bucket_capacity = 1;
+  config.metrics_path = dir + "/metrics.jsonl";
+  write_file(config.control,
+             std::string("submit p ") + kTinyScale + " nets 7\n" +
+                 "submit q " + kTinyScale + " seed 5 nets 7\n" +
+                 "submit cron " + kTinyScale +
+                 " seed 9 recur 2 runs 2\n" + "submit scen " + kTinyScale +
+                 " seed 11 scenario forwarding scenario-rounds 3\n" +
+                 "at 30 drain\n");
+  run_to_drain(config);
+
+  struct Golden {
+    std::string path;
+    std::size_t length;
+    std::uint64_t digest;
+  };
+  for (const Golden& golden : {
+           Golden{config.dir + "/events.log", 1620, 15104564440667049906ULL},
+           Golden{config.dir + "/p.report", 275, 17169423421168214697ULL},
+           Golden{config.dir + "/q.report", 269, 2827512260364495501ULL},
+           Golden{config.dir + "/cron.report", 272, 10202069978301699089ULL},
+           Golden{config.dir + "/cron.run2.report", 272, 10202069978301699089ULL},
+           Golden{config.dir + "/scen.report", 356, 13625511574804082748ULL},
+           Golden{config.metrics_path, 24657, 14524132331956941651ULL},
+           Golden{config.metrics_path + ".prom", 1334,
+                  13623796568452344580ULL},
+       }) {
+    const std::string text = read_file(golden.path);
+    EXPECT_EQ(text.size(), golden.length) << golden.path;
+    EXPECT_EQ(util::fnv1a(text), golden.digest) << golden.path;
+  }
 }
 
 TEST(SvcService, StatusCommandWritesStatusFile) {
