@@ -7,10 +7,10 @@
 //            to an already-published slot), all threads hammering one shared
 //            table the way the record cache and breaker groups do.
 //   steal  — scheduler overhead: the same deliberately skewed synthetic
-//            workload dispatched through the static one-shard-per-worker
-//            split and through the work-stealing batch scheduler (none /
-//            random / adversarial), so the steal machinery's cost — and the
-//            rebalancing it buys under skew — is a number, not a hunch.
+//            workload dispatched through the work-stealing batch scheduler
+//            under each steal mode (none / random / adversarial), so the
+//            steal machinery's cost — and the rebalancing it buys under
+//            skew — is a number, not a hunch.
 //   cache  — spf::SharedRecordCache fed distinct record texts, four times
 //            its capacity, the way per-probe templated policies arrive:
 //            lookups/s while it admits (parse + insert) and after its
@@ -103,7 +103,8 @@ TableRates measure_table(int threads, std::uint64_t keys, int rounds) {
 // ------------------------------------------------------------------ steal
 
 // Skewed per-item cost — the first tenth of the range is 16x heavier, the
-// shape static sharding handles worst (shard 0 becomes the straggler).
+// shape a no-steal drain handles worst (the first workers' batches become
+// the stragglers).
 std::uint64_t item_work(std::size_t i, std::size_t n, int spin) {
   const int reps = (i < n / 10) ? spin * 16 : spin;
   std::uint64_t h = 1469598103934665603ULL ^ i;
@@ -115,24 +116,20 @@ std::uint64_t item_work(std::size_t i, std::size_t n, int spin) {
 }
 
 double measure_dispatch(int threads, std::size_t n, int spin,
-                        util::SchedPolicy policy, util::StealMode mode) {
+                        util::StealMode mode) {
   util::ThreadPool pool(threads);
-  util::SchedulerOptions opts;
-  opts.policy = policy;
-  opts.steal = mode;
-  std::vector<std::uint64_t> sums(pool.slice_count(n, opts));
+  std::vector<std::uint64_t> sums(pool.batch_count(n));
   const auto start = std::chrono::steady_clock::now();
-  pool.parallel_for_slices(
-      n, opts, [&](std::size_t slice, std::size_t begin, std::size_t end) {
+  pool.parallel_for_batches(
+      n, mode, [&](std::size_t batch, std::size_t begin, std::size_t end) {
         std::uint64_t sum = 0;
         for (std::size_t i = begin; i < end; ++i) sum += item_work(i, n, spin);
-        sums[slice] = sum;
+        sums[batch] = sum;
       });
   return seconds_since(start);
 }
 
 struct StealTimes {
-  double static_s = 0.0;
   double none_s = 0.0;
   double random_s = 0.0;
   double adversarial_s = 0.0;
@@ -140,14 +137,10 @@ struct StealTimes {
 
 StealTimes measure_steal(int threads, std::size_t n, int spin) {
   StealTimes times;
-  times.static_s = measure_dispatch(threads, n, spin, util::SchedPolicy::Static,
-                                    util::StealMode::None);
-  times.none_s = measure_dispatch(threads, n, spin, util::SchedPolicy::Steal,
-                                  util::StealMode::None);
-  times.random_s = measure_dispatch(threads, n, spin, util::SchedPolicy::Steal,
-                                    util::StealMode::Random);
-  times.adversarial_s = measure_dispatch(
-      threads, n, spin, util::SchedPolicy::Steal, util::StealMode::Adversarial);
+  times.none_s = measure_dispatch(threads, n, spin, util::StealMode::None);
+  times.random_s = measure_dispatch(threads, n, spin, util::StealMode::Random);
+  times.adversarial_s =
+      measure_dispatch(threads, n, spin, util::StealMode::Adversarial);
   return times;
 }
 
@@ -263,11 +256,10 @@ int main(int argc, char** argv) {
   }
 
   util::TextTable table(
-      {"Threads", "Table miss Mop/s", "Table hit Mop/s", "Static s",
-       "Steal(none) s", "Steal(random) s", "Steal(adv) s"},
+      {"Threads", "Table miss Mop/s", "Table hit Mop/s", "Steal(none) s",
+       "Steal(random) s", "Steal(adv) s"},
       {util::Align::Right, util::Align::Right, util::Align::Right,
-       util::Align::Right, util::Align::Right, util::Align::Right,
-       util::Align::Right});
+       util::Align::Right, util::Align::Right, util::Align::Right});
   const auto fmt = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -275,8 +267,8 @@ int main(int argc, char** argv) {
   };
   for (std::size_t i = 0; i < std::size(lanes); ++i) {
     table.add_row({std::to_string(lanes[i]), fmt(table_rates[i].miss_mops),
-                   fmt(table_rates[i].hit_mops), fmt(steal_times[i].static_s),
-                   fmt(steal_times[i].none_s), fmt(steal_times[i].random_s),
+                   fmt(table_rates[i].hit_mops), fmt(steal_times[i].none_s),
+                   fmt(steal_times[i].random_s),
                    fmt(steal_times[i].adversarial_s)});
   }
   std::cout << table << "\n";
@@ -308,7 +300,6 @@ int main(int argc, char** argv) {
         << "      \"table_miss_mops\": " << table_rates[i].miss_mops << ",\n"
         << "      \"table_hit_mops\": " << table_rates[i].hit_mops << ",\n"
         << "      \"steal\": {\n"
-        << "        \"static_seconds\": " << steal_times[i].static_s << ",\n"
         << "        \"none_seconds\": " << steal_times[i].none_s << ",\n"
         << "        \"random_seconds\": " << steal_times[i].random_s << ",\n"
         << "        \"adversarial_seconds\": " << steal_times[i].adversarial_s

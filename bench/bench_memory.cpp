@@ -1,23 +1,18 @@
 // Memory-shape bench for the interned, streaming population (DESIGN.md §14).
 //
-// ROADMAP item 3: memory, not CPU, is what caps campaign size. This binary
-// quantifies the two fleet modes against each other with a counting global
-// allocator:
+// Memory, not CPU, is what caps campaign size. This binary measures the
+// fleet's one shape under a counting global allocator: hosts stream through
+// Fleet::find_host / release_host and the campaign consumes the zero-copy
+// scan::TargetSource view.
 //
-//   eager  — the pre-§14 shape: every MailHost resident for the fleet's
-//            lifetime and the target list materialised as owning
-//            std::string/std::vector copies (Fleet::targets()).
-//   lazy   — hosts stream through Fleet::release_host eviction and the
-//            campaign consumes the zero-copy scan::TargetSource view.
-//
-// For each lane it reports heap allocation count/bytes and peak heap during
-// population build + target assembly, then runs the same initial campaign
-// and reports its peak on top. bytes/host is peak-build-heap divided by the
-// address count. Interner statistics (hits/misses/distinct bytes) show how
-// much text the table deduplicated. Results go to stdout as a table and to
-// --out (default BENCH_memory.json) as machine-readable JSON; --budget N
-// makes the process exit nonzero when the lazy lane's bytes/host exceeds N,
-// which is what the `memory_budget` ctest pins.
+// It reports heap allocation count/bytes and peak heap during population
+// build + target walk, then runs the initial campaign and reports its peak
+// on top. bytes/host is the whole-run peak heap divided by the address
+// count. Interner statistics (hits/misses/distinct bytes) show how much text
+// the table deduplicated. Results go to stdout as a table and to --out
+// (default BENCH_memory.json) as machine-readable JSON; --budget N makes the
+// process exit nonzero when bytes/host exceeds N, which is what the
+// `memory_budget` ctest pins.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -137,51 +132,41 @@ class AllocMeter {
   std::chrono::steady_clock::time_point start_;
 };
 
-struct LaneResult {
-  PhaseStats build;     // fleet construction + target assembly
+struct FleetResult {
+  PhaseStats build;     // fleet construction + target walk
   PhaseStats campaign;  // the initial measurement itself
   std::size_t hosts = 0;
   std::size_t domains = 0;
-  std::size_t conclusive = 0;  // cheap cross-lane equivalence check
+  std::size_t conclusive = 0;
   std::uint64_t intern_hits = 0;
   std::uint64_t intern_misses = 0;
   std::uint64_t intern_distinct_bytes = 0;
   std::size_t live_hosts_after = 0;
 };
 
-scan::CampaignReport run_campaign(population::Fleet& fleet, bool streaming) {
-  scan::CampaignConfig config;
-  config.prober.responder = fleet.responder();
-  config.threads = 1;
-  scan::Campaign campaign(config, fleet.dns(), fleet.clock(), fleet);
-  if (streaming) return campaign.run(fleet.target_source());
-  return campaign.run(fleet.targets());
-}
-
-LaneResult run_lane(double scale, bool lazy) {
-  LaneResult result;
+FleetResult run_fleet(double scale) {
+  FleetResult result;
   const AllocMeter build_meter;
   population::FleetConfig config;
   config.scale = scale;
-  config.lazy_hosts = lazy;
   config.mix = population::PolicyMix::paper_baseline();
   population::Fleet fleet(config);
+  // Streaming consumers never copy; walking the view is the whole cost.
   std::size_t target_domains = 0;
-  if (lazy) {
-    // Streaming consumers never copy; walking the view is the whole cost.
-    fleet.target_source().for_each(
-        [&](std::string_view, std::span<const util::IpAddress>) {
-          ++target_domains;
-        });
-  } else {
-    target_domains = fleet.targets().size();  // owning-copy materialisation
-  }
+  fleet.target_source().for_each(
+      [&](std::string_view, std::span<const util::IpAddress>) {
+        ++target_domains;
+      });
   result.build = build_meter.finish();
   result.hosts = fleet.address_count();
   result.domains = target_domains;
 
   const AllocMeter campaign_meter;
-  const scan::CampaignReport report = run_campaign(fleet, lazy);
+  scan::CampaignConfig campaign_config;
+  campaign_config.prober.responder = fleet.responder();
+  campaign_config.threads = 1;
+  scan::Campaign campaign(campaign_config, fleet.dns(), fleet.clock(), fleet);
+  const scan::CampaignReport report = campaign.run(fleet.target_source());
   result.campaign = campaign_meter.finish();
   for (const auto& [address, outcome] : report.addresses) {
     result.conclusive += outcome.verdict == scan::AddressVerdict::Measured;
@@ -214,56 +199,36 @@ double per_host(std::uint64_t bytes, std::size_t hosts) {
 
 // The number the budget pins: whole-run peak live heap over the host count.
 // Both phase peaks are absolute high-water marks, so the max covers the run.
-std::uint64_t overall_peak(const LaneResult& r) {
+std::uint64_t overall_peak(const FleetResult& r) {
   return std::max(r.build.peak_bytes, r.campaign.peak_bytes);
 }
 
-void write_json(const std::string& path, double scale, const LaneResult& eager,
-                const LaneResult& lazy) {
+void write_json(const std::string& path, double scale, const FleetResult& r) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     std::cerr << "warning: cannot write " << path << "\n";
     return;
   }
-  const auto lane = [&](const char* name, const LaneResult& r) {
-    out << "  \"" << name << "\": {\n"
-        << "    \"build_alloc_count\": " << r.build.alloc_count << ",\n"
-        << "    \"build_alloc_bytes\": " << r.build.alloc_bytes << ",\n"
-        << "    \"build_peak_bytes\": " << r.build.peak_bytes << ",\n"
-        << "    \"bytes_per_host\": " << per_host(overall_peak(r), r.hosts)
-        << ",\n"
-        << "    \"build_wall_seconds\": " << r.build.wall_seconds << ",\n"
-        << "    \"campaign_alloc_count\": " << r.campaign.alloc_count << ",\n"
-        << "    \"campaign_peak_bytes\": " << r.campaign.peak_bytes << ",\n"
-        << "    \"campaign_wall_seconds\": " << r.campaign.wall_seconds
-        << ",\n"
-        << "    \"live_hosts_after\": " << r.live_hosts_after << ",\n"
-        << "    \"conclusive\": " << r.conclusive << "\n"
-        << "  }";
-  };
   out << "{\n"
       << "  \"scale\": " << scale << ",\n"
-      << "  \"hosts\": " << lazy.hosts << ",\n"
-      << "  \"domains\": " << lazy.domains << ",\n";
-  lane("eager", eager);
-  out << ",\n";
-  lane("lazy", lazy);
-  out << ",\n"
-      << "  \"interner\": {\n"
-      << "    \"hits\": " << lazy.intern_hits << ",\n"
-      << "    \"misses\": " << lazy.intern_misses << ",\n"
-      << "    \"distinct_bytes\": " << lazy.intern_distinct_bytes << "\n"
-      << "  },\n"
-      << "  \"reduction\": {\n"
-      << "    \"bytes_per_host\": "
-      << per_host(overall_peak(eager), eager.hosts) /
-             std::max(1.0, per_host(overall_peak(lazy), lazy.hosts))
+      << "  \"hosts\": " << r.hosts << ",\n"
+      << "  \"domains\": " << r.domains << ",\n"
+      << "  \"build_alloc_count\": " << r.build.alloc_count << ",\n"
+      << "  \"build_alloc_bytes\": " << r.build.alloc_bytes << ",\n"
+      << "  \"build_peak_bytes\": " << r.build.peak_bytes << ",\n"
+      << "  \"bytes_per_host\": " << per_host(overall_peak(r), r.hosts)
       << ",\n"
-      << "    \"build_allocations\": "
-      << static_cast<double>(eager.build.alloc_count) /
-             static_cast<double>(std::max<std::uint64_t>(1,
-                                                         lazy.build.alloc_count))
-      << "\n  },\n"
+      << "  \"build_wall_seconds\": " << r.build.wall_seconds << ",\n"
+      << "  \"campaign_alloc_count\": " << r.campaign.alloc_count << ",\n"
+      << "  \"campaign_peak_bytes\": " << r.campaign.peak_bytes << ",\n"
+      << "  \"campaign_wall_seconds\": " << r.campaign.wall_seconds << ",\n"
+      << "  \"live_hosts_after\": " << r.live_hosts_after << ",\n"
+      << "  \"conclusive\": " << r.conclusive << ",\n"
+      << "  \"interner\": {\n"
+      << "    \"hits\": " << r.intern_hits << ",\n"
+      << "    \"misses\": " << r.intern_misses << ",\n"
+      << "    \"distinct_bytes\": " << r.intern_distinct_bytes << "\n"
+      << "  },\n"
       << "  \"vm_hwm_kb\": " << vm_hwm_kb() << "\n"
       << "}\n";
   std::cout << "(json written to " << path << ")\n";
@@ -297,57 +262,41 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "Memory shape: eager string-materialised fleet vs lazy "
-               "interned streaming fleet (scale=" << scale << ")\n\n";
-  const LaneResult eager = run_lane(scale, /*lazy=*/false);
-  const LaneResult lazy = run_lane(scale, /*lazy=*/true);
-
-  if (eager.conclusive != lazy.conclusive ||
-      eager.hosts != lazy.hosts) {
-    std::cerr << "FAIL: lanes disagree on population or campaign outcome "
-                 "(eager "
-              << eager.hosts << " hosts/" << eager.conclusive
-              << " conclusive, lazy " << lazy.hosts << "/" << lazy.conclusive
-              << ")\n";
-    return 1;
-  }
+  std::cout << "Memory shape: interned streaming fleet (scale=" << scale
+            << ")\n\n";
+  const FleetResult r = run_fleet(scale);
 
   util::TextTable table(
-      {"Lane", "Build allocs", "Build peak MiB", "Bytes/host",
-       "Campaign peak MiB", "Live hosts after", "Wall s"},
-      {util::Align::Left, util::Align::Right, util::Align::Right,
-       util::Align::Right, util::Align::Right, util::Align::Right,
-       util::Align::Right});
+      {"Build allocs", "Build peak MiB", "Bytes/host", "Campaign peak MiB",
+       "Live hosts after", "Wall s"},
+      {util::Align::Right, util::Align::Right, util::Align::Right,
+       util::Align::Right, util::Align::Right, util::Align::Right});
   const auto mib = [](std::uint64_t bytes) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.1f",
                   static_cast<double>(bytes) / (1024.0 * 1024.0));
     return std::string(buf);
   };
-  const auto row = [&](const char* name, const LaneResult& r) {
-    char bph[32], wall[32];
-    std::snprintf(bph, sizeof(bph), "%.0f", per_host(overall_peak(r), r.hosts));
-    std::snprintf(wall, sizeof(wall), "%.2f",
-                  r.build.wall_seconds + r.campaign.wall_seconds);
-    table.add_row({name, std::to_string(r.build.alloc_count),
-                   mib(r.build.peak_bytes), bph, mib(r.campaign.peak_bytes),
-                   std::to_string(r.live_hosts_after), wall});
-  };
-  row("eager (pre-interning shape)", eager);
-  row("lazy (interned, streaming)", lazy);
+  char bph[32], wall[32];
+  std::snprintf(bph, sizeof(bph), "%.0f", per_host(overall_peak(r), r.hosts));
+  std::snprintf(wall, sizeof(wall), "%.2f",
+                r.build.wall_seconds + r.campaign.wall_seconds);
+  table.add_row({std::to_string(r.build.alloc_count), mib(r.build.peak_bytes),
+                 bph, mib(r.campaign.peak_bytes),
+                 std::to_string(r.live_hosts_after), wall});
   std::cout << table << "\n"
-            << "Interner: " << lazy.intern_misses << " distinct strings ("
-            << lazy.intern_distinct_bytes << " bytes), " << lazy.intern_hits
+            << "Interner: " << r.intern_misses << " distinct strings ("
+            << r.intern_distinct_bytes << " bytes), " << r.intern_hits
             << " repeat lookups answered from the table.\n"
-            << "Hosts: " << lazy.hosts << " | peak RSS (VmHWM): "
-            << vm_hwm_kb() << " KiB\n\n";
+            << "Hosts: " << r.hosts << " | conclusive: " << r.conclusive
+            << " | peak RSS (VmHWM): " << vm_hwm_kb() << " KiB\n\n";
 
-  write_json(out_path, scale, eager, lazy);
+  write_json(out_path, scale, r);
 
   if (budget_bytes_per_host > 0.0) {
-    const double got = per_host(overall_peak(lazy), lazy.hosts);
+    const double got = per_host(overall_peak(r), r.hosts);
     if (got > budget_bytes_per_host) {
-      std::cerr << "FAIL: lazy bytes/host " << got << " exceeds budget "
+      std::cerr << "FAIL: bytes/host " << got << " exceeds budget "
                 << budget_bytes_per_host << "\n";
       return 1;
     }

@@ -4,8 +4,6 @@
 //
 //   usage: spfail_scan [--scale S] [--seed N] [--scenario NAMES]
 //                      [--threads N] [--initial-only]
-//                      [--sched auto|static|steal]
-//                      [--steal-mode auto|none|random|adversarial]
 //                      [--fault-rate R] [--fault-seed N] [--csv DIR]
 //                      [--trace FILE] [--metrics FILE] [--metrics-wall]
 //                      [--checkpoint FILE] [--checkpoint-every N]
@@ -28,16 +26,6 @@
 //                    cores); results are bit-identical at any count
 //   --initial-only   run only the 2021-10-11 measurement, skip the
 //                    longitudinal study
-//   --sched P        slice scheduler (DESIGN.md §16): `steal` (default)
-//                    splits each phase into fine batches on per-worker
-//                    work-stealing deques; `static` forces the legacy
-//                    one-shard-per-thread split (default: SPFAIL_SCHED);
-//                    outputs are byte-identical either way
-//   --steal-mode M   stealing discipline under --sched steal: `random`
-//                    (default), `none` (batches stay home), `adversarial`
-//                    (every worker raids all victims before its own work —
-//                    a determinism stress mode for tests; default:
-//                    SPFAIL_STEAL)
 //   --fault-rate R   inject transient faults (SMTP tempfails, connection
 //                    drops, latency spikes) into R of all probe attempts,
 //                    0 <= R <= 1 (default: SPFAIL_FAULT_RATE, else 0); a
@@ -77,7 +65,9 @@
 // 130 (resume with --resume).
 //
 // All flags reject malformed values (e.g. `--threads x`, `--fault-rate 2`)
-// with exit code 2 instead of silently coercing them.
+// with exit code 2 instead of silently coercing them, and so do the two
+// variables the thread pool reads itself: SPFAIL_THREADS and the
+// SPFAIL_STEAL test hook (none|random|adversarial steal schedule).
 #include <fstream>
 #include <iostream>
 #include <optional>

@@ -36,7 +36,7 @@ bool Evaluator::sampled_in(const EvaluationInput& input, int percent) const {
   if (percent >= 100) return true;
   if (percent <= 0) return false;
   // A fresh lane per message identity: stateless, so evaluation order (and
-  // lazy-vs-eager host materialisation) cannot change the outcome.
+  // a host's eviction and rebuild) cannot change the outcome.
   util::Rng lane(sampling_seed_ ^
                  util::fnv1a(input.from_domain.to_string()) ^
                  (0x9e3779b97f4a7c15ULL *

@@ -9,10 +9,10 @@
 // policy (reject -> quarantine, quarantine -> none). Sampling must be
 // deterministic AND stateless — the same message at the same host always
 // lands on the same side of the cut regardless of how many messages the
-// host evaluated before it — so that lazily and eagerly materialised fleets
-// agree byte for byte. Each decision therefore derives a fresh RNG lane
-// from (sampling_seed, from_domain, spf_domain) rather than advancing a
-// shared cursor.
+// host evaluated before it — so that a host the fleet evicted and rebuilt
+// decides byte for byte as it would have live. Each decision therefore
+// derives a fresh RNG lane from (sampling_seed, from_domain, spf_domain)
+// rather than advancing a shared cursor.
 #pragma once
 
 #include <cstdint>

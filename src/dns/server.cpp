@@ -5,7 +5,8 @@
 
 namespace spfail::dns {
 
-thread_local AuthoritativeServer::LaneState AuthoritativeServer::lane_;
+constinit thread_local AuthoritativeServer::LaneState
+    AuthoritativeServer::lane_;
 
 AuthoritativeServer::LogLane::LogLane(const AuthoritativeServer& server,
                                       QueryLog& lane) {

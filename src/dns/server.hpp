@@ -78,7 +78,8 @@ class AuthoritativeServer : public DnsService {
     const AuthoritativeServer* server = nullptr;
     QueryLog* log = nullptr;
   };
-  static thread_local LaneState lane_;
+  // constinit: see util::SimClock's lane state (DESIGN.md §13).
+  static constinit thread_local LaneState lane_;
 
   // Keyed by reversed label count via std::map<Name, ...> won't give longest
   // match directly; store and scan (zone counts here are small).

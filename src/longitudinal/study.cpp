@@ -164,10 +164,9 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
   ctx.metrics = config_.metrics != nullptr;
 
   util::ThreadPool& pool = *state.pool;
-  std::vector<ObserveSliceResult> slices(
-      pool.slice_count(jobs.size(), config_.sched));
-  pool.parallel_for_slices(
-      jobs.size(), config_.sched,
+  std::vector<ObserveSliceResult> slices(pool.batch_count(jobs.size()));
+  pool.parallel_for_batches(
+      jobs.size(), util::StealMode::Auto,
       [&](std::size_t slice, std::size_t begin, std::size_t end) {
         slices[slice] = run_observe_slice(
             std::span<const ObserveJob>(jobs).subspan(begin, end - begin),
@@ -307,7 +306,6 @@ Study::State Study::begin() {
   campaign_config.prober.responder = fleet_.responder();
   campaign_config.label_seed = config_.seed ^ 0xC0FFEE;
   campaign_config.threads = config_.threads;
-  campaign_config.sched = config_.sched;
   campaign_config.faults = config_.faults;
   campaign_config.retry = config_.retry;
   campaign_config.trace = config_.trace;
@@ -315,8 +313,8 @@ Study::State Study::begin() {
   scan::Campaign campaign(campaign_config, fleet_.dns(), fleet_.clock(),
                           fleet_);
   // Streaming target source: the round never materialises a TargetDomain
-  // vector, which is what lets a lazy fleet run at populations the eager
-  // copy could not hold (DESIGN.md §14).
+  // vector, which is what keeps the paper-size population affordable
+  // (DESIGN.md §14).
   state.report.initial = snapshot::freeze(campaign.run(fleet_.target_source()));
   state.report.degradation.merge(state.report.initial->report().degradation);
 

@@ -43,9 +43,6 @@ struct StudyConfig {
   // longitudinal rounds, final snapshot). 0 resolves SPFAIL_THREADS /
   // hardware concurrency. The StudyReport is bit-identical at any count.
   int threads = 0;
-  // Wave fan-out policy for every batch (DESIGN.md §16); threaded into the
-  // campaign too. Byte-identical at any policy/steal mode.
-  util::SchedulerOptions sched;
 
   // Loss process (per round, per still-measurable vulnerable address).
   double transient_failure_rate = 0.05;

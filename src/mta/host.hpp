@@ -181,7 +181,7 @@ class MailHost : public smtp::SessionHandler {
   // SPF result of the current transaction's MAIL FROM validation (AtMailFrom
   // hosts), fed to DMARC at on_message so an aligned pass can rescue a
   // message. Stateless pct= sampling keys off dmarc_seed_, so evaluation
-  // order — and lazy-vs-eager host materialisation — cannot shift outcomes.
+  // order — and the host's eviction and rebuild — cannot shift outcomes.
   spf::Result mail_from_spf_result_ = spf::Result::None;
   std::uint64_t dmarc_seed_ = 0;
   std::optional<dmarc::Evaluation> last_dmarc_;

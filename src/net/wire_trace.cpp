@@ -4,7 +4,7 @@
 
 namespace spfail::net {
 
-thread_local WireTrace::Lane::LaneState WireTrace::Lane::lane_;
+constinit thread_local WireTrace::Lane::LaneState WireTrace::Lane::lane_;
 
 void WireTrace::splice(WireTrace&& other) {
   if (frames_.empty()) {

@@ -63,7 +63,8 @@ class WireTrace {
       std::uint64_t id = 0;
       util::SimTime anchor = 0;
     };
-    static thread_local LaneState lane_;
+    // constinit: see util::SimClock's lane state (DESIGN.md §13).
+    static constinit thread_local LaneState lane_;
   };
 
  private:

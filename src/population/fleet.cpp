@@ -169,7 +169,6 @@ std::size_t Fleet::spec_index(const util::IpAddress& address) const {
 }
 
 mta::MailHost* Fleet::materialise(std::size_t index) const {
-  if (!config_.lazy_hosts) return hosts_[index].get();
   const std::lock_guard<std::mutex> lock(lazy_mutex_);
   std::unique_ptr<mta::MailHost>& slot = hosts_[index];
   if (slot == nullptr) {
@@ -206,7 +205,6 @@ const mta::MailHost* Fleet::find_host(const util::IpAddress& address) const {
 }
 
 void Fleet::release_host(const util::IpAddress& address) {
-  if (!config_.lazy_hosts) return;
   const std::size_t index = spec_index(address);
   if (index == specs_.size()) return;
   const std::lock_guard<std::mutex> lock(lazy_mutex_);
@@ -518,19 +516,13 @@ void Fleet::finalise(std::vector<StagingDomain>&& staging,
   info_.assign(info.begin(), info.end());
   info.clear();
 
-  // Host storage: specs in address order, hosts_ index-aligned. In eager
-  // mode every host is materialised now; lazy slots start empty.
+  // Host storage: specs in address order, hosts_ index-aligned. Slots start
+  // empty; find_host fills them.
   std::sort(specs_.begin(), specs_.end(),
             [](const HostSpec& a, const HostSpec& b) {
               return a.address < b.address;
             });
   hosts_.resize(specs_.size());
-  if (!config_.lazy_hosts) {
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-      hosts_[i] = std::make_unique<mta::MailHost>(
-          specs_[i].to_profile(), dns_, clock_, record_cache_.get());
-    }
-  }
 
   // Domains: one interned copy of each name, one flat pool slice per
   // address list. The pool is reserved exactly, so the spans stay valid.

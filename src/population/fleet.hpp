@@ -22,8 +22,8 @@
 // Storage model (DESIGN.md §14): every name (domain, TLD, provider) lives
 // once in an intern table, every MX address once in a flat pool; the public
 // DomainRecord is views+spans into those, and host behaviour is packed into
-// a ~48-byte HostSpec from which the full MailHost is materialised — eagerly
-// by default, or on demand when FleetConfig::lazy_hosts streams the fleet.
+// a ~48-byte HostSpec from which the full MailHost is materialised on demand:
+// find_host builds it, release_host evicts it again.
 #pragma once
 
 #include <array>
@@ -78,11 +78,6 @@ struct AddressInfo {
 struct FleetConfig {
   double scale = 0.1;        // 1.0 = the paper's full population
   std::uint64_t seed = 2021; // the year of the measurement, why not
-  // Stream hosts instead of holding them: MailHosts are materialised on
-  // find_host and evicted again on release_host, with scanner-visible
-  // residue (greylist map, flaky-RNG cursor, patch/blacklist flags)
-  // preserved across the round trip. Reports are byte-identical either way.
-  bool lazy_hosts = false;
   // Receiver behaviour rates plus the scenario layer's sender staging. The
   // default mix reproduces the historical population byte for byte and
   // stages nothing; a mix with positive sender rates additionally draws one
@@ -120,11 +115,16 @@ class Fleet : public scan::HostRegistry {
     return *record_cache_;
   }
 
+  // The host at `address`, built from its HostSpec (plus any residue a
+  // release left behind) if it is not live; nullptr for an address outside
+  // the fleet. The pointer stays valid until release_host is called for that
+  // address — a later find_host then returns a different object.
   mta::MailHost* find_host(const util::IpAddress& address) override;
   const mta::MailHost* find_host(const util::IpAddress& address) const;
 
-  // Lazy mode only: evict the materialised host, keeping its residue so the
-  // next find_host rebuilds it mid-conversation. No-op in eager mode.
+  // Evict the live host, keeping its scanner-visible residue (greylist map,
+  // flaky-RNG cursor, patch/blacklist flags) so the next find_host rebuilds
+  // it mid-conversation. No-op for an address that is not live.
   void release_host(const util::IpAddress& address) override;
   // How many MailHosts are currently materialised (bench/test observability).
   std::size_t live_hosts() const;
@@ -246,9 +246,9 @@ class Fleet : public scan::HostRegistry {
 
   FleetConfig config_;
   util::SimClock clock_{util::at_midnight(2021, 10, 11)};
-  // Shared parse memo, created before any host so both materialisation paths
-  // can hand it to MailHost. unique_ptr keeps the Fleet movable-by-nobody
-  // while letting hosts hold a stable pointer.
+  // Shared parse memo, created before any host so materialisation can hand
+  // it to MailHost. unique_ptr keeps the Fleet movable-by-nobody while
+  // letting hosts hold a stable pointer.
   std::unique_ptr<spf::SharedRecordCache> record_cache_ =
       std::make_unique<spf::SharedRecordCache>();
   dns::AuthoritativeServer dns_;
@@ -267,9 +267,8 @@ class Fleet : public scan::HostRegistry {
   std::vector<SenderPolicy> sender_policies_;  // aligned with domains_
   std::vector<util::IpAddress> scenario_receivers_;
 
-  // Host storage: specs sorted by address, hosts_ index-aligned. In eager
-  // mode every slot is filled at construction; in lazy mode slots fill on
-  // find_host and empty on release_host under lazy_mutex_.
+  // Host storage: specs sorted by address, hosts_ index-aligned. Slots fill
+  // on find_host and empty on release_host under lazy_mutex_.
   std::vector<HostSpec> specs_;
   mutable std::vector<std::unique_ptr<mta::MailHost>> hosts_;
   mutable std::unordered_map<util::IpAddress, Residual, util::IpAddressHash>

@@ -91,7 +91,7 @@ std::vector<WaveItem> dedupe_serial(const TargetSource& targets,
 std::vector<WaveItem> dedupe_concurrent(const TargetSource& targets,
                                         util::Interner& recipients,
                                         util::ThreadPool& pool,
-                                        const util::SchedulerOptions& sched) {
+                                        util::StealMode steal) {
   // Phase A (serial): flatten the walk. flat position i carries the address
   // and the Symbol of the domain that listed it.
   std::vector<util::IpAddress> flat_addrs;
@@ -119,8 +119,8 @@ std::vector<WaveItem> dedupe_concurrent(const TargetSource& targets,
   // Phase B (parallel): claim every flat position. Throws TableFullError on
   // a blown sizing bound (impossible while the table is sized to the flat
   // list) — the caller falls back to the serial path.
-  pool.parallel_for_slices(
-      flat_addrs.size(), sched,
+  pool.parallel_for_batches(
+      flat_addrs.size(), steal,
       [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const util::IpAddress& address = flat_addrs[i];
@@ -489,7 +489,7 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   util::Interner recipients;  // outlives every item view below
   std::vector<WaveItem> items;
   try {
-    items = dedupe_concurrent(targets, recipients, pool, config_.sched);
+    items = dedupe_concurrent(targets, recipients, pool, config_.steal);
   } catch (const util::TableFullError&) {
     items = dedupe_serial(targets, recipients);
   }
@@ -509,10 +509,9 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   ctx.tracing = config_.trace != nullptr;
   ctx.metrics = config_.metrics != nullptr;
 
-  std::vector<WaveSliceResult> slices(
-      pool.slice_count(items.size(), config_.sched));
-  pool.parallel_for_slices(
-      items.size(), config_.sched,
+  std::vector<WaveSliceResult> slices(pool.batch_count(items.size()));
+  pool.parallel_for_batches(
+      items.size(), config_.steal,
       [&](std::size_t slice, std::size_t begin, std::size_t end) {
         slices[slice] = run_wave_slice(
             std::span<const WaveItem>(items).subspan(begin, end - begin),
@@ -573,8 +572,8 @@ CampaignReport Campaign::run(const TargetSource& targets) {
     };
     util::ConcurrentTable<GroupStats> groups(items.size());
     try {
-      pool.parallel_for_slices(
-          items.size(), config_.sched,
+      pool.parallel_for_batches(
+          items.size(), config_.steal,
           [&](std::size_t, std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
               const auto it = report.addresses.find(items[i].address);
@@ -634,9 +633,9 @@ CampaignReport Campaign::run(const TargetSource& targets) {
       }
 
       std::vector<RequeueSliceResult> rq_slices(
-          pool.slice_count(rq_items.size(), config_.sched));
-      pool.parallel_for_slices(
-          rq_items.size(), config_.sched,
+          pool.batch_count(rq_items.size()));
+      pool.parallel_for_batches(
+          rq_items.size(), config_.steal,
           [&](std::size_t slice, std::size_t begin, std::size_t end) {
             rq_slices[slice] = run_requeue_slice(
                 std::span<const RequeueItem>(rq_items).subspan(begin,

@@ -42,11 +42,11 @@ class HostRegistry {
   // nullptr means "no host at this address" (connect times out).
   virtual mta::MailHost* find_host(const util::IpAddress& address) = 0;
 
-  // Hint that the caller is done probing `address` for now. A lazy registry
-  // (population::Fleet in streaming mode, DESIGN.md §14) evicts the
-  // materialised host, keeping its scanner-visible residue (greylist map,
-  // flaky-RNG cursor, patch/blacklist flags) so a later find_host rebuilds
-  // it mid-conversation. The default keeps every host live.
+  // Hint that the caller is done probing `address` for now.
+  // population::Fleet (DESIGN.md §14) evicts the materialised host, keeping
+  // its scanner-visible residue (greylist map, flaky-RNG cursor,
+  // patch/blacklist flags) so a later find_host rebuilds it
+  // mid-conversation. The default keeps every host live.
   virtual void release_host(const util::IpAddress& address) { (void)address; }
 };
 
@@ -190,11 +190,10 @@ struct CampaignConfig {
   // Real worker threads for the sharded scan. 0 resolves SPFAIL_THREADS /
   // hardware concurrency; the report is bit-identical at any count.
   int threads = 0;
-  // How waves fan out over those threads (DESIGN.md §16): Static keeps one
-  // contiguous slice per worker, Steal (the resolved default) cuts finer
-  // batches and lets idle workers steal them. Byte-identical either way, at
-  // any thread count, under any steal schedule.
-  util::SchedulerOptions sched;
+  // How idle workers steal batches of a wave (DESIGN.md §16). Tests force
+  // None or Adversarial here; the output is byte-identical at any thread
+  // count, under any steal schedule.
+  util::StealMode steal = util::StealMode::Auto;
 
   // --- fault injection & resilience (inert at the default rate 0) ---
   faults::FaultConfig faults;
@@ -256,7 +255,7 @@ class Campaign {
   CampaignReport run(const std::vector<TargetDomain>& targets);
 
   // Streaming variant: identical output, but targets are walked on demand —
-  // a lazy population never holds the whole target vector in memory.
+  // the fleet never holds the whole target vector in memory.
   CampaignReport run(const TargetSource& targets);
 
   // Re-measure only the given addresses (the longitudinal rounds, which per

@@ -7,22 +7,6 @@ namespace spfail::session {
 
 namespace {
 
-util::SchedPolicy parse_sched(std::string_view what, const char* text) {
-  try {
-    return util::parse_sched_policy(text);
-  } catch (const std::invalid_argument&) {
-    reject_value(what, text, "auto/static/steal");
-  }
-}
-
-util::StealMode parse_steal(std::string_view what, const char* text) {
-  try {
-    return util::parse_steal_mode(text);
-  } catch (const std::invalid_argument&) {
-    reject_value(what, text, "auto/none/random/adversarial");
-  }
-}
-
 constexpr FlagDef kFlags[] = {
     {"--scale", "SPFAIL_SCALE", "RATE", "0.05",
      "population scale in (0, 1]: fraction of the full study fleet to build",
@@ -56,16 +40,6 @@ constexpr FlagDef kFlags[] = {
      [](ScanConfig& c, std::string_view what, const char* text) {
        c.initial_only = switch_on(what, text);
      }},
-    {"--sched", "SPFAIL_SCHED", "POLICY", "auto",
-     "slice scheduler: auto/static/steal (outputs byte-identical either way)",
-     [](ScanConfig& c, std::string_view what, const char* text) {
-       c.sched = parse_sched(what, text);
-     }},
-    {"--steal-mode", "SPFAIL_STEAL", "MODE", "auto",
-     "work-stealing victim choice: auto/none/random/adversarial",
-     [](ScanConfig& c, std::string_view what, const char* text) {
-       c.steal_mode = parse_steal(what, text);
-     }},
     {"--fault-rate", "SPFAIL_FAULT_RATE", "RATE", "0",
      "per-attempt fault-injection probability in [0, 1]; 0 disables the layer",
      [](ScanConfig& c, std::string_view what, const char* text) {
@@ -95,11 +69,6 @@ constexpr FlagDef kFlags[] = {
      "add the opt-in wall-clock lane to the metrics files",
      [](ScanConfig& c, std::string_view what, const char* text) {
        c.metrics_wall = switch_on(what, text);
-     }},
-    {"--lazy-hosts", "SPFAIL_LAZY_HOSTS", nullptr, "off",
-     "stream MailHosts on demand instead of holding the fleet resident",
-     [](ScanConfig& c, std::string_view what, const char* text) {
-       c.lazy_hosts = switch_on(what, text);
      }},
     {"--checkpoint-strings", "SPFAIL_CHECKPOINT_STRINGS", nullptr, "off",
      "embed the fleet intern table in checkpoints as an integrity section",

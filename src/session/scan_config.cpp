@@ -6,6 +6,7 @@
 
 #include "scenario/scenario.hpp"
 #include "session/flag_registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spfail::session {
 
@@ -50,6 +51,14 @@ void ScanConfig::validate() const {
     } catch (const std::invalid_argument& error) {
       throw ScanConfigError("--scenario: " + std::string(error.what()));
     }
+  }
+  // The thread pool reads these two itself, mid-run; parse them now, and
+  // SPFAIL_THREADS only when the pool will read it (threads == 0).
+  try {
+    if (threads == 0) util::resolve_thread_count(0);
+    util::resolve_steal_mode(util::StealMode::Auto);
+  } catch (const std::invalid_argument& error) {
+    throw ScanConfigError(error.what());
   }
 }
 

@@ -9,11 +9,11 @@
 // the offending input instead of coercing it.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "faults/fault.hpp"
-#include "util/work_steal.hpp"
 
 namespace spfail::session {
 
@@ -41,21 +41,10 @@ struct ScanConfig {
   // the initial state. -1 mirrors the study's round count; 0 keeps the
   // initial table only. SPFAIL_SCENARIO_ROUNDS / --scenario-rounds.
   int scenario_rounds = -1;
-  // Stream hosts instead of holding the whole fleet resident (DESIGN.md
-  // §14): MailHosts materialise on probe and are evicted afterwards.
-  // Reports are byte-identical either way; this trades a little CPU for a
-  // much larger reachable population. SPFAIL_LAZY_HOSTS / --lazy-hosts.
-  bool lazy_hosts = false;
 
   // Scan engine.
   int threads = 0;  // 0 = SPFAIL_THREADS / hardware; --threads
   bool initial_only = false;
-  // Slice scheduler (DESIGN.md §16). Auto resolves to the work-stealing
-  // batch scheduler; `static` forces the legacy one-shard-per-worker split.
-  // Outputs are byte-identical either way. SPFAIL_SCHED / --sched,
-  // SPFAIL_STEAL / --steal-mode (none|random|adversarial).
-  util::SchedPolicy sched = util::SchedPolicy::Auto;
-  util::StealMode steal_mode = util::StealMode::Auto;
 
   // Fault injection (SPFAIL_FAULT_SEED / SPFAIL_FAULT_RATE,
   // --fault-seed / --fault-rate).
@@ -92,9 +81,9 @@ struct ScanConfig {
 
   // Environment over `defaults`: every SPFAIL_* variable named in the flag
   // registry (session/flag_registry.hpp — the registry is the single source
-  // of truth for the flag/env surface). (SPFAIL_THREADS is resolved by the
-  // thread pool itself when threads == 0.) Throws ScanConfigError on
-  // malformed or out-of-range values.
+  // of truth for the flag/env surface). (SPFAIL_THREADS and the SPFAIL_STEAL
+  // test hook are read by the thread pool itself; validate() checks them.)
+  // Throws ScanConfigError on malformed or out-of-range values.
   static ScanConfig from_env(const ScanConfig& defaults);
   static ScanConfig from_env();
 
@@ -106,7 +95,10 @@ struct ScanConfig {
   static ScanConfig from_args(int argc, const char* const* argv);
 
   // Range checks shared by both builders (callers constructing a ScanConfig
-  // by hand can run them too). Throws ScanConfigError.
+  // by hand can run them too), plus a parse of the two variables the thread
+  // pool reads outside the registry (SPFAIL_THREADS when threads == 0,
+  // SPFAIL_STEAL), so a malformed value fails here instead of inside a wave.
+  // Throws ScanConfigError.
   void validate() const;
 
  private:

@@ -29,7 +29,6 @@ population::Fleet& ScanSession::fleet() {
     population::FleetConfig fleet_config;
     fleet_config.scale = config_.scale;
     fleet_config.seed = config_.fleet_seed;
-    fleet_config.lazy_hosts = config_.lazy_hosts;
     fleet_config.mix = scenario::resolve_mix(scenarios());
     fleet_ = std::make_unique<population::Fleet>(fleet_config);
   }
@@ -57,7 +56,6 @@ const std::vector<scenario::ScenarioReport>& ScanSession::scenario_reports() {
     population::FleetConfig fleet_config;
     fleet_config.scale = config_.scale;
     fleet_config.seed = config_.fleet_seed;
-    fleet_config.lazy_hosts = config_.lazy_hosts;
     fleet_config.mix = mix;
     staged = std::make_unique<population::Fleet>(fleet_config);
   }
@@ -85,8 +83,6 @@ longitudinal::StudyConfig ScanSession::study_config() {
   longitudinal::StudyConfig study_config;
   study_config.seed = config_.study_seed;
   study_config.threads = config_.threads;
-  study_config.sched.policy = config_.sched;
-  study_config.sched.steal = config_.steal_mode;
   study_config.faults = config_.faults;
   study_config.trace = trace();
   study_config.metrics = metrics();
@@ -192,8 +188,6 @@ const scan::CampaignReport& ScanSession::initial() {
   scan::CampaignConfig campaign_config;
   campaign_config.prober.responder = fleet().responder();
   campaign_config.threads = config_.threads;
-  campaign_config.sched.policy = config_.sched;
-  campaign_config.sched.steal = config_.steal_mode;
   campaign_config.faults = config_.faults;
   campaign_config.trace = trace();
   campaign_config.metrics = metrics();

@@ -87,6 +87,14 @@ JobSpec JobSpec::decode(snapshot::Reader& r) {
   spec.recur = r.u64();
   spec.runs = r.u32();
   const std::uint32_t net_count = r.u32();
+  // The count is outside input: bound it by the bytes present (8 per net)
+  // before reserving for it.
+  if (net_count > r.remaining() / 8) {
+    throw snapshot::SnapshotError(
+        "job '" + spec.id + "': " + std::to_string(net_count) +
+        " nets do not fit in the " + std::to_string(r.remaining()) +
+        " bytes left");
+  }
   spec.nets.reserve(net_count);
   for (std::uint32_t i = 0; i < net_count; ++i) spec.nets.push_back(r.u64());
   spec.validate();

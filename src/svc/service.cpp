@@ -560,6 +560,17 @@ void ServiceLoop::restore_state() {
   commands_consumed_ = r.u64();
   drain_ = r.boolean();
   const std::uint32_t job_count = r.u32();
+  // The count is outside input: bound it by the bytes present before
+  // reserving for it. A job record is a JobSpec plus its own fixed-width
+  // fields: seq, phase, run and seven u64/i64 tick counters.
+  constexpr std::size_t kMinJobRecordBytes =
+      JobSpec::kMinEncodedBytes + 8 + 1 + 4 + 7 * 8;
+  if (job_count > r.remaining() / kMinJobRecordBytes) {
+    throw snapshot::SnapshotError(
+        "svc state: " + std::to_string(job_count) +
+        " jobs do not fit in the " + std::to_string(r.remaining()) +
+        " bytes left");
+  }
   jobs_.clear();
   jobs_.reserve(job_count);
   for (std::uint32_t i = 0; i < job_count; ++i) {

@@ -24,7 +24,7 @@ std::string format_datetime(SimTime t) {
   return buf;
 }
 
-thread_local SimClock::LaneState SimClock::lane_;
+constinit thread_local SimClock::LaneState SimClock::lane_;
 
 void SimClock::advance_to(SimTime t) {
   if (t < now()) {

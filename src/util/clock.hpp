@@ -109,7 +109,9 @@ class SimClock {
     const SimClock* clock = nullptr;
     SimTime offset = 0;
   };
-  static thread_local LaneState lane_;
+  // constinit: constant-initialised, so other translation units read it
+  // directly instead of through a TLS wrapper call (DESIGN.md §13).
+  static constinit thread_local LaneState lane_;
 
   SimTime now_;
 };

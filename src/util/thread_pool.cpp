@@ -1,8 +1,10 @@
 #include "util/thread_pool.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 namespace spfail::util {
@@ -11,7 +13,14 @@ std::size_t resolve_thread_count(int requested) {
   if (requested > 0) return static_cast<std::size_t>(requested);
   if (const char* env = std::getenv("SPFAIL_THREADS");
       env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
+    char* end = nullptr;
+    errno = 0;
+    const long parsed = std::strtol(env, &end, 10);
+    if (*end != '\0' || errno == ERANGE || parsed < 0) {
+      throw std::invalid_argument(
+          "SPFAIL_THREADS expects a whole number >= 0, got '" +
+          std::string(env) + "'");
+    }
     if (parsed > 0) return static_cast<std::size_t>(parsed);
   }
   const unsigned hardware = std::thread::hardware_concurrency();
@@ -91,87 +100,22 @@ void ThreadPool::await_and_rethrow(Completion& completion, std::size_t count,
   std::rethrow_exception(errors[first]);
 }
 
-void ThreadPool::parallel_for_shards(
-    std::size_t n, const std::function<void(std::size_t, std::size_t,
-                                            std::size_t)>& fn) {
-  const std::size_t shards = shard_count(n);
-  if (shards == 0) return;
-
-  std::vector<std::exception_ptr> errors(shards);
-  Completion completion;
-
-  const std::size_t base = n / shards;
-  const std::size_t extra = n % shards;  // first `extra` shards get one more
-  std::size_t begin = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      const std::size_t end = begin + base + (shard < extra ? 1 : 0);
-      queue_.push_back([&, shard, begin, end] {
-        try {
-          fn(shard, begin, end);
-        } catch (...) {
-          errors[shard] = std::current_exception();
-        }
-        {
-          // Notify under the lock: once the caller observes done == count it
-          // destroys the latch, so the worker must not touch it after
-          // releasing the mutex.
-          const std::lock_guard<std::mutex> done_lock(completion.mutex);
-          ++completion.done;
-          completion.cv.notify_one();
-        }
-      });
-      begin = end;
-    }
-  }
-  work_available_.notify_all();
-  await_and_rethrow(completion, shards, errors);
-}
-
-std::size_t ThreadPool::batch_count(std::size_t n,
-                                    const SchedulerOptions& opts) const {
-  if (n == 0) return 0;
-  const SchedulerOptions resolved = opts.resolved();
-  const std::size_t target =
-      workers_.size() * static_cast<std::size_t>(resolved.batches_per_worker);
-  return n < target ? n : target;
-}
-
-std::size_t ThreadPool::slice_count(std::size_t n,
-                                    const SchedulerOptions& opts) const {
-  return opts.resolved().policy == SchedPolicy::Static ? shard_count(n)
-                                                       : batch_count(n, opts);
-}
-
-void ThreadPool::parallel_for_slices(
-    std::size_t n, const SchedulerOptions& opts,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (opts.resolved().policy == SchedPolicy::Static) {
-    parallel_for_shards(n, fn);
-  } else {
-    parallel_for_batches(n, opts, fn);
-  }
-}
-
 void ThreadPool::parallel_for_batches(
-    std::size_t n, const SchedulerOptions& opts,
+    std::size_t n, StealMode steal,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t batches = batch_count(n, opts);
+  const std::size_t batches = batch_count(n);
   if (batches == 0) return;
-  const SchedulerOptions resolved = opts.resolved();
 
   const std::size_t participants =
       batches < workers_.size() ? batches : workers_.size();
-  BatchScheduler scheduler(batches, participants, resolved);
+  BatchScheduler scheduler(batches, participants, resolve_steal_mode(steal));
 
   std::vector<std::exception_ptr> errors(batches);
   Completion completion;
 
-  // The same near-equal contiguous split parallel_for_shards uses, cut at
-  // batch grain: batch b covers [b*base + min(b, extra), ...). Identical
-  // item coverage at any batch count is what lets the merged output match
-  // the static baseline byte for byte.
+  // Near-equal contiguous batches: batch b covers
+  // [b*base + min(b, extra), ...), so the first `extra` batches get one more
+  // item.
   const std::size_t base = n / batches;
   const std::size_t extra = n % batches;
   const auto bounds = [base, extra](std::size_t b) {

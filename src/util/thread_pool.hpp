@@ -2,9 +2,10 @@
 //
 // The paper's scanner only finishes a round inside the 2-day cadence because
 // it holds 250 concurrent SMTP connections; the reproduction gets the same
-// effect from real threads. Shards are contiguous slices of an address-sorted
-// work list, so results can be merged back in address order and the output is
-// bit-identical at any thread count (see DESIGN.md, "Concurrency model").
+// effect from real threads. Batches are contiguous slices of an
+// address-sorted work list, so results can be merged back in address order
+// and the output is bit-identical at any thread count (see DESIGN.md,
+// "Concurrency model" and §16).
 //
 // Thread count resolution: an explicit request wins; otherwise the
 // SPFAIL_THREADS environment variable; otherwise the hardware concurrency.
@@ -23,7 +24,9 @@
 namespace spfail::util {
 
 // `requested` <= 0 means "resolve from the environment": SPFAIL_THREADS if
-// set and positive, else std::thread::hardware_concurrency(), else 1.
+// set and positive, else std::thread::hardware_concurrency(), else 1. Unset,
+// empty and "0" all mean the hardware default; anything that is not a whole
+// number >= 0 throws std::invalid_argument naming the variable.
 std::size_t resolve_thread_count(int requested);
 
 class ThreadPool {
@@ -37,48 +40,25 @@ class ThreadPool {
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  // Number of shards parallel_for_shards would use for `n` items: one per
-  // worker, never more than `n` (and 0 for an empty range). Callers size
-  // per-shard result storage with this before dispatching.
-  std::size_t shard_count(std::size_t n) const noexcept {
-    return n < workers_.size() ? n : workers_.size();
+  // Number of batches parallel_for_batches cuts [0, n) into:
+  // kBatchesPerWorker per thread, never more than `n` (and 0 for an empty
+  // range). Callers size per-batch result storage with this.
+  std::size_t batch_count(std::size_t n) const noexcept {
+    const std::size_t target = workers_.size() * kBatchesPerWorker;
+    return n < target ? n : target;
   }
 
-  // Partition [0, n) into shard_count(n) contiguous, near-equal slices and
-  // run fn(shard_index, begin, end) for each on the pool. Blocks until every
-  // shard finished; if any shard threw, rethrows the first exception (in
-  // shard order) after logging every suppressed one to stderr. An empty
-  // range returns immediately.
-  void parallel_for_shards(
-      std::size_t n,
-      const std::function<void(std::size_t shard, std::size_t begin,
-                               std::size_t end)>& fn);
-
-  // Number of batches parallel_for_batches would cut [0, n) into under the
-  // work-stealing scheduler: batches_per_worker per thread, never more than
-  // `n`. Callers size per-batch result storage with this. `opts` may be
-  // unresolved; Auto fields resolve identically here and in the dispatch.
-  std::size_t batch_count(std::size_t n, const SchedulerOptions& opts) const;
-
-  // Partition [0, n) into batch_count(n, opts) contiguous, near-equal
-  // batches (the shard split applied at finer grain) and run
-  // fn(batch, begin, end) for each under the work-stealing scheduler
+  // Partition [0, n) into batch_count(n) contiguous, near-equal batches and
+  // run fn(batch, begin, end) for each under the work-stealing scheduler
   // (DESIGN.md §16): each worker drains its preloaded deque and then steals
-  // per opts.steal. Results must be recorded into slot `batch` — merging
-  // slots in batch order is what keeps the output independent of which
-  // worker ran what. Error contract matches parallel_for_shards.
+  // per `steal` (Auto resolves SPFAIL_STEAL). Results must be recorded into
+  // slot `batch` — merging slots in batch order is what keeps the output
+  // independent of which worker ran what. Blocks until every batch finished; if any batch threw,
+  // rethrows the first exception (in batch order) after logging every
+  // suppressed one to stderr. An empty range returns immediately.
   void parallel_for_batches(
-      std::size_t n, const SchedulerOptions& opts,
+      std::size_t n, StealMode steal,
       const std::function<void(std::size_t batch, std::size_t begin,
-                               std::size_t end)>& fn);
-
-  // Unified dispatch on the resolved policy: Static = shard_count slices via
-  // parallel_for_shards, Steal = batch_count slices via parallel_for_batches.
-  // slice_count() sizes the result vector either way.
-  std::size_t slice_count(std::size_t n, const SchedulerOptions& opts) const;
-  void parallel_for_slices(
-      std::size_t n, const SchedulerOptions& opts,
-      const std::function<void(std::size_t slice, std::size_t begin,
                                std::size_t end)>& fn);
 
  private:

@@ -2,43 +2,15 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace spfail::util {
 
-std::string to_string(SchedPolicy policy) {
-  switch (policy) {
-    case SchedPolicy::Auto:
-      return "auto";
-    case SchedPolicy::Static:
-      return "static";
-    case SchedPolicy::Steal:
-      return "steal";
-  }
-  return "?";
-}
-
-std::string to_string(StealMode mode) {
-  switch (mode) {
-    case StealMode::Auto:
-      return "auto";
-    case StealMode::None:
-      return "none";
-    case StealMode::Random:
-      return "random";
-    case StealMode::Adversarial:
-      return "adversarial";
-  }
-  return "?";
-}
-
-SchedPolicy parse_sched_policy(std::string_view text) {
-  if (text == "auto") return SchedPolicy::Auto;
-  if (text == "static") return SchedPolicy::Static;
-  if (text == "steal") return SchedPolicy::Steal;
-  throw std::invalid_argument("scheduler policy expects static/steal, got '" +
-                              std::string(text) + "'");
-}
+namespace {
+// Seeds the per-worker victim RNGs.
+constexpr std::uint64_t kStealSeed = 0x57EA15EEDULL;
+}  // namespace
 
 StealMode parse_steal_mode(std::string_view text) {
   if (text == "auto") return StealMode::Auto;
@@ -46,28 +18,17 @@ StealMode parse_steal_mode(std::string_view text) {
   if (text == "random") return StealMode::Random;
   if (text == "adversarial") return StealMode::Adversarial;
   throw std::invalid_argument(
-      "steal mode expects none/random/adversarial, got '" + std::string(text) +
-      "'");
+      "SPFAIL_STEAL expects auto/none/random/adversarial, got '" +
+      std::string(text) + "'");
 }
 
-SchedulerOptions SchedulerOptions::resolved() const {
-  SchedulerOptions out = *this;
-  if (out.policy == SchedPolicy::Auto) {
-    if (const char* env = std::getenv("SPFAIL_SCHED");
-        env != nullptr && *env != '\0') {
-      out.policy = parse_sched_policy(env);
-    }
-    if (out.policy == SchedPolicy::Auto) out.policy = SchedPolicy::Steal;
+StealMode resolve_steal_mode(StealMode mode) {
+  if (mode != StealMode::Auto) return mode;
+  if (const char* env = std::getenv("SPFAIL_STEAL");
+      env != nullptr && *env != '\0') {
+    mode = parse_steal_mode(env);
   }
-  if (out.steal == StealMode::Auto) {
-    if (const char* env = std::getenv("SPFAIL_STEAL");
-        env != nullptr && *env != '\0') {
-      out.steal = parse_steal_mode(env);
-    }
-    if (out.steal == StealMode::Auto) out.steal = StealMode::Random;
-  }
-  if (out.batches_per_worker < 1) out.batches_per_worker = 1;
-  return out;
+  return mode == StealMode::Auto ? StealMode::Random : mode;
 }
 
 ChaseLevDeque::ChaseLevDeque(std::size_t capacity)
@@ -122,18 +83,18 @@ bool ChaseLevDeque::empty() const {
 }
 
 BatchScheduler::BatchScheduler(std::size_t batches, std::size_t workers,
-                               const SchedulerOptions& opts)
-    : steal_(opts.steal), remaining_(batches) {
+                               StealMode steal)
+    : steal_(steal), remaining_(batches) {
   const std::size_t w = workers > 0 ? workers : 1;
   deques_.reserve(w);
   for (std::size_t i = 0; i < w; ++i) {
     deques_.push_back(
-        std::make_unique<WorkerState>(batches, opts.seed ^ (i * 0x9E3779B9ULL |
-                                                            1ULL)));
+        std::make_unique<WorkerState>(batches, kStealSeed ^ (i * 0x9E3779B9ULL |
+                                                             1ULL)));
   }
-  // Contiguous preload: worker w's deque holds the batch run static sharding
-  // would hand it, lowest index on top — so a thief lifts the batch the
-  // owner would reach last, and a no-steal drain visits them in order.
+  // Contiguous preload: worker w's deque holds the w-th near-equal batch run,
+  // lowest index on top — so a thief lifts the batch the owner would reach
+  // last, and a no-steal drain visits them in order.
   const std::size_t base = batches / w;
   const std::size_t extra = batches % w;
   std::size_t next = 0;

@@ -1,14 +1,14 @@
-// Work-stealing batch scheduler for the scan core (DESIGN.md §16).
+// Work-stealing batch scheduler for the scan core (DESIGN.md §16) — the one
+// way a wave fans out over util::ThreadPool.
 //
-// Static sharding (one contiguous slice per worker) leaves threads idle
-// whenever slice costs are uneven — greylist backoff, fault-injected
-// retries, and lazy-host materialisation all skew per-address cost. The
-// scheduler instead splits the address-ordered work list into several small
-// contiguous batches per worker, preloads each worker's deque with its own
-// contiguous run of batches, and lets idle workers steal batches from
-// victims' deques, Chase–Lev style: the owner pops its own bottom (LIFO,
-// cache-warm), thieves take the top (FIFO, the batches the owner would reach
-// last).
+// One contiguous slice per worker would leave threads idle whenever slice
+// costs are uneven — greylist backoff, fault-injected retries, and host
+// materialisation all skew per-address cost. The scheduler instead splits
+// the address-ordered work list into several small contiguous batches per
+// worker, preloads each worker's deque with its own contiguous run of
+// batches, and lets idle workers steal batches from victims' deques,
+// Chase–Lev style: the owner pops its own bottom (LIFO, cache-warm), thieves
+// take the top (FIFO, the batches the owner would reach last).
 //
 // Determinism: a batch is an index-addressed unit — batch b always covers
 // the same [begin, end) of the master list and records its results into slot
@@ -25,18 +25,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace spfail::util {
 
-// How a wave fans out over the pool. Auto resolves SPFAIL_SCHED (static |
-// steal), defaulting to Steal. Static is the pre-§16 one-contiguous-slice-
-// per-worker path, kept as the byte-compare baseline.
-enum class SchedPolicy : std::uint8_t { Auto = 0, Static, Steal };
-
 // Victim selection once a worker's own deque runs dry. Auto resolves
-// SPFAIL_STEAL (none | random | adversarial), defaulting to Random.
+// SPFAIL_STEAL (none | random | adversarial), defaulting to Random. The
+// variable is a test hook, not an operator knob: it lets an end-to-end test
+// force the adversarial schedule through a binary.
 //   None         never steal — drain the own deque, then idle. The
 //                no-steal schedule the determinism tests compare against.
 //   Random       steal from a seeded-random victim (the production mode).
@@ -45,27 +42,18 @@ enum class SchedPolicy : std::uint8_t { Auto = 0, Static, Steal };
 //                schedule the determinism tests force.
 enum class StealMode : std::uint8_t { Auto = 0, None, Random, Adversarial };
 
-std::string to_string(SchedPolicy policy);
-std::string to_string(StealMode mode);
-// Strict parsers for flag/env values; throw std::invalid_argument naming the
-// rejected input. "auto" is accepted for both.
-SchedPolicy parse_sched_policy(std::string_view text);
+// Strict parser for SPFAIL_STEAL; throws std::invalid_argument naming the
+// rejected input. "auto" is accepted.
 StealMode parse_steal_mode(std::string_view text);
 
-struct SchedulerOptions {
-  SchedPolicy policy = SchedPolicy::Auto;
-  StealMode steal = StealMode::Auto;
-  // Batches per worker under Steal: enough slack for stealing to matter,
-  // few enough that per-batch lane setup stays in the noise.
-  int batches_per_worker = 8;
-  // Seeds the per-worker victim RNGs (worker w draws from seed ^ w).
-  std::uint64_t seed = 0x57EA15EEDULL;
+// Batches per worker: enough slack for stealing to matter, few enough that
+// per-batch lane setup stays in the noise.
+inline constexpr std::size_t kBatchesPerWorker = 8;
 
-  // Auto fields resolved from the environment (SPFAIL_SCHED, SPFAIL_STEAL)
-  // or their defaults; explicit values pass through — the same layering as
-  // resolve_thread_count. Throws std::invalid_argument on malformed env.
-  SchedulerOptions resolved() const;
-};
+// Auto resolved from SPFAIL_STEAL or the default (Random); an explicit mode
+// passes through — the same layering as resolve_thread_count. Throws
+// std::invalid_argument on a malformed SPFAIL_STEAL.
+StealMode resolve_steal_mode(StealMode mode);
 
 // A fixed-capacity Chase–Lev deque over batch indices. The owner pushes and
 // pops at the bottom; thieves steal from the top. This variant is preloaded
@@ -100,16 +88,16 @@ class ChaseLevDeque {
   std::size_t capacity_;
 };
 
-// The per-wave scheduler: deques preloaded with contiguous batch runs (the
-// static-shard split applied to batches), claimed by workers as they arrive.
+// The per-wave scheduler: deques preloaded with contiguous batch runs (one
+// near-equal run per worker), claimed by workers as they arrive.
 // Built fresh per parallel_for_batches call — batch counts are small, so
 // construction is noise.
 class BatchScheduler {
  public:
   // `batches` total batches, dealt to `workers` deques contiguously (worker
-  // w's deque holds its static-shard batch run, top = lowest index).
-  BatchScheduler(std::size_t batches, std::size_t workers,
-                 const SchedulerOptions& opts);
+  // w's deque holds the w-th near-equal batch run, top = lowest index).
+  // `steal` must already be resolved (not Auto).
+  BatchScheduler(std::size_t batches, std::size_t workers, StealMode steal);
 
   std::size_t worker_count() const noexcept { return deques_.size(); }
 

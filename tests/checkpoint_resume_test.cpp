@@ -12,6 +12,7 @@
 
 #include "report/tables.hpp"
 #include "session/scan_session.hpp"
+#include "util/rng.hpp"
 #include "util/shutdown.hpp"
 
 namespace spfail {
@@ -240,9 +241,13 @@ TEST(CheckpointResume, TerminationSignalCheckpointsAndResumesIdentically) {
 }
 
 TEST(CheckpointResume, LazyFleetHaltResumeMatchesUninterruptedEagerRun) {
-  // §14 end-to-end: a lazy-hosts study halted mid-run and resumed (with the
-  // intern-table integrity section enabled) must deliver the same bytes as
-  // an uninterrupted eager-fleet run.
+  // §14 end-to-end: a study over the streaming fleet halted mid-run and
+  // resumed (with the intern-table integrity section enabled) must deliver
+  // the same bytes as an uninterrupted run over a fleet that held every host
+  // resident — pinned as the fnv1a and length of that run's digest, captured
+  // before the resident fleet was deleted.
+  constexpr std::uint64_t kResidentDigest = 11474371070450440843ULL;
+  constexpr std::size_t kResidentLength = 3679;
   const std::string path = testing::TempDir() + "spfail_ckpt_lazy.bin";
 
   session::ScanConfig base;
@@ -250,7 +255,6 @@ TEST(CheckpointResume, LazyFleetHaltResumeMatchesUninterruptedEagerRun) {
   base.faults.rate = 0.02;
 
   session::ScanConfig halting = base;
-  halting.lazy_hosts = true;
   halting.checkpoint_path = path;
   halting.checkpoint_strings = true;
   halting.halt_after_rounds = 5;
@@ -259,17 +263,18 @@ TEST(CheckpointResume, LazyFleetHaltResumeMatchesUninterruptedEagerRun) {
   EXPECT_TRUE(first.halted());
 
   session::ScanConfig resuming = base;
-  resuming.lazy_hosts = true;
   resuming.resume_path = path;
   session::ScanSession second(resuming);
   const longitudinal::StudyReport* resumed = second.study();
   ASSERT_NE(resumed, nullptr);
+  const std::string resumed_digest = digest(second.fleet(), *resumed);
+  EXPECT_EQ(resumed_digest.size(), kResidentLength);
+  EXPECT_EQ(util::fnv1a(resumed_digest), kResidentDigest);
 
-  session::ScanSession uninterrupted(base);  // eager fleet, no interruption
+  session::ScanSession uninterrupted(base);
   const longitudinal::StudyReport* full = uninterrupted.study();
   ASSERT_NE(full, nullptr);
-  EXPECT_EQ(digest(second.fleet(), *resumed),
-            digest(uninterrupted.fleet(), *full));
+  EXPECT_EQ(resumed_digest, digest(uninterrupted.fleet(), *full));
   std::remove(path.c_str());
 }
 
@@ -344,7 +349,7 @@ TEST(ScanConfigArgs, ParsesTheFullFlagSet) {
   const session::ScanConfig config =
       parse({"--scale", "0.25", "--seed", "7", "--threads", "3",
              "--initial-only", "--fault-rate", "0.5", "--fault-seed", "99",
-             "--csv", "/tmp/csv", "--trace", "/tmp/t.jsonl", "--lazy-hosts",
+             "--csv", "/tmp/csv", "--trace", "/tmp/t.jsonl",
              "--checkpoint-strings", "--checkpoint", "/tmp/c.bin",
              "--checkpoint-every", "4", "--halt-after-rounds", "8", "--resume",
              "/tmp/r.bin"});
@@ -357,7 +362,6 @@ TEST(ScanConfigArgs, ParsesTheFullFlagSet) {
   EXPECT_EQ(config.csv_dir, "/tmp/csv");
   EXPECT_EQ(config.trace_path, "/tmp/t.jsonl");
   EXPECT_TRUE(config.tracing());
-  EXPECT_TRUE(config.lazy_hosts);
   EXPECT_TRUE(config.checkpoint_strings);
   EXPECT_EQ(config.checkpoint_path, "/tmp/c.bin");
   EXPECT_EQ(config.checkpoint_every, 4);
@@ -403,6 +407,9 @@ TEST(ScanConfigArgs, RejectsDuplicateFlagOccurrences) {
   EXPECT_THROW(parse({"--seed", "1", "--threads", "2", "--seed", "1"}),
                session::ScanConfigError);
   // Switches are flags too.
+  EXPECT_THROW(parse({"--initial-only", "--initial-only"}),
+               session::ScanConfigError);
+  // A deleted flag is unknown even when repeated.
   EXPECT_THROW(parse({"--lazy-hosts", "--lazy-hosts"}),
                session::ScanConfigError);
   // Distinct flags still compose, and one occurrence each stays legal.
@@ -416,6 +423,47 @@ TEST(ScanConfigArgs, RejectsMalformedEnvironment) {
   EXPECT_THROW(session::ScanConfig::from_env(), session::ScanConfigError);
   ::unsetenv("SPFAIL_FAULT_RATE");
   EXPECT_NO_THROW(session::ScanConfig::from_env());
+
+  // The two variables the thread pool reads outside the registry are checked
+  // when the config is validated, naming the variable, instead of being
+  // truncated ("2x" used to run on 2 threads) or ignored ("abc" on all
+  // cores). Unset or empty keeps the default.
+  const auto rejects = [](const char* name, const char* value) {
+    ::setenv(name, value, 1);
+    try {
+      session::ScanConfig::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const session::ScanConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+          << error.what();
+    }
+    ::unsetenv(name);
+  };
+  rejects("SPFAIL_THREADS", "2x");
+  rejects("SPFAIL_THREADS", "abc");
+  rejects("SPFAIL_THREADS", "-1");
+  rejects("SPFAIL_STEAL", "greedy");
+  // A hand-built config (the ScanSession and svc JobSpec path) runs the
+  // same check.
+  ::setenv("SPFAIL_THREADS", "2x", 1);
+  EXPECT_THROW(session::ScanConfig{}.validate(), session::ScanConfigError);
+  EXPECT_THROW(session::ScanSession{session::ScanConfig{}},
+               session::ScanConfigError);
+  // An explicit thread count means the pool never reads SPFAIL_THREADS, so
+  // its value is not checked.
+  session::ScanConfig explicit_threads;
+  explicit_threads.threads = 2;
+  EXPECT_NO_THROW(explicit_threads.validate());
+  for (const char* fine : {"", "0", "3"}) {
+    ::setenv("SPFAIL_THREADS", fine, 1);
+    EXPECT_NO_THROW(session::ScanConfig::from_env()) << fine;
+  }
+  ::unsetenv("SPFAIL_THREADS");
+  for (const char* fine : {"", "none", "adversarial"}) {
+    ::setenv("SPFAIL_STEAL", fine, 1);
+    EXPECT_NO_THROW(session::ScanConfig::from_env()) << fine;
+  }
+  ::unsetenv("SPFAIL_STEAL");
 }
 
 }  // namespace

@@ -38,18 +38,24 @@ TEST(FlagRegistry, FlagsAndEnvVarsAreUniqueAndDocumented) {
     EXPECT_NE(def.default_doc, nullptr);
     EXPECT_NE(def.apply, nullptr);
   }
-  // The full historical surface is present; --scenario registered with it.
+  // The full surface is present; --scenario registered with it.
   for (const char* flag :
        {"--scale", "--seed", "--scenario", "--threads", "--initial-only",
-        "--sched", "--steal-mode", "--fault-rate", "--fault-seed", "--csv",
-        "--trace", "--metrics", "--metrics-wall", "--lazy-hosts",
-        "--checkpoint-strings", "--checkpoint", "--checkpoint-every",
-        "--resume", "--halt-after-rounds"}) {
+        "--fault-rate", "--fault-seed", "--csv", "--trace", "--metrics",
+        "--metrics-wall", "--checkpoint-strings", "--checkpoint",
+        "--checkpoint-every", "--resume", "--halt-after-rounds"}) {
     EXPECT_TRUE(flags.contains(flag)) << flag << " missing from registry";
   }
-  // SPFAIL_THREADS is deliberately absent: the thread pool resolves it
-  // itself when threads == 0, so the registry must not also consume it.
+  // The deleted scheduler and fleet-lane knobs stay deleted.
+  for (const char* flag : {"--sched", "--steal-mode", "--lazy-hosts"}) {
+    EXPECT_FALSE(flags.contains(flag)) << flag << " is back in the registry";
+  }
+  EXPECT_FALSE(envs.contains("SPFAIL_SCHED"));
+  EXPECT_FALSE(envs.contains("SPFAIL_LAZY_HOSTS"));
+  // SPFAIL_THREADS and SPFAIL_STEAL are deliberately absent: the thread
+  // pool resolves them itself, so the registry must not also consume them.
   EXPECT_FALSE(envs.contains("SPFAIL_THREADS"));
+  EXPECT_FALSE(envs.contains("SPFAIL_STEAL"));
   EXPECT_TRUE(envs.contains("SPFAIL_SCENARIO"));
 }
 
@@ -79,16 +85,19 @@ TEST(FlagRegistry, MarkdownTableCoversEveryFlag) {
 TEST(FlagRegistry, RegistryDrivenParsingMatchesTheOldSurface) {
   const ScanConfig config =
       parse({"--scale", "0.25", "--seed", "7", "--threads", "2",
-             "--initial-only", "--fault-rate", "0.5", "--lazy-hosts"});
+             "--initial-only", "--fault-rate", "0.5"});
   EXPECT_DOUBLE_EQ(config.scale, 0.25);
   EXPECT_EQ(config.fleet_seed, 7u);
   EXPECT_EQ(config.threads, 2);
   EXPECT_TRUE(config.initial_only);
   EXPECT_DOUBLE_EQ(config.faults.rate, 0.5);
-  EXPECT_TRUE(config.lazy_hosts);
   EXPECT_THROW(parse({"--scale", "x"}), ScanConfigError);
   EXPECT_THROW(parse({"--scale"}), ScanConfigError);
   EXPECT_THROW(parse({"--no-such-flag"}), ScanConfigError);
+  // The deleted knobs are unknown flags now, with or without a value.
+  EXPECT_THROW(parse({"--sched", "static"}), ScanConfigError);
+  EXPECT_THROW(parse({"--steal-mode", "adversarial"}), ScanConfigError);
+  EXPECT_THROW(parse({"--lazy-hosts"}), ScanConfigError);
 }
 
 TEST(FlagRegistry, ScenarioFlagParsesAndValidates) {

@@ -1,7 +1,7 @@
 // The §14 interning layer: Symbol assignment determinism, shard-order merge,
-// wire round-trips, the QueryLog qname dedupe built on it, the lazy/streaming
-// fleet's equivalence to the eager one, and the optional snapshot strings
-// section.
+// wire round-trips, the QueryLog qname dedupe built on it, the streaming
+// fleet's equivalence to the pinned output of the resident one it replaced,
+// and the optional snapshot strings section.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +18,7 @@
 #include "session/scan_session.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/intern.hpp"
+#include "util/rng.hpp"
 
 namespace spfail {
 namespace {
@@ -279,7 +280,7 @@ TEST(QueryLogDedupe, SplicingManyLaneLogsEqualsRecordingSerially) {
   EXPECT_EQ(merged.entries().back().time, kLanes);
 }
 
-// ------------------------------------------------- lazy fleet ≡ eager fleet
+// ------------------------------------ streaming fleet ≡ pinned resident run
 
 std::string campaign_digest(population::Fleet& fleet, bool streaming) {
   scan::CampaignConfig config;
@@ -299,21 +300,31 @@ std::string campaign_digest(population::Fleet& fleet, bool streaming) {
 }
 
 TEST(InternFleet, LazyStreamingCampaignMatchesEagerMaterialised) {
+  // fnv1a and length of the digest of a campaign over materialised targets
+  // on a fleet that held every host resident, captured before the resident
+  // fleet was deleted. The streaming fleet must reproduce it through either
+  // campaign entry point.
+  constexpr std::uint64_t kResidentDigest = 659206101051267363ULL;
+  constexpr std::size_t kResidentLength = 3159;
   population::FleetConfig config;
   config.scale = 0.008;
-  population::Fleet eager(config);
-  config.lazy_hosts = true;
-  population::Fleet lazy(config);
+  population::Fleet materialised(config);
+  population::Fleet streaming(config);
 
-  EXPECT_TRUE(eager.strings() == lazy.strings());
-  EXPECT_EQ(lazy.live_hosts(), 0u);  // nothing materialised before probing
+  EXPECT_TRUE(materialised.strings() == streaming.strings());
+  EXPECT_EQ(streaming.live_hosts(), 0u);  // nothing materialised yet
 
-  const std::string eager_digest = campaign_digest(eager, /*streaming=*/false);
-  const std::string lazy_digest = campaign_digest(lazy, /*streaming=*/true);
-  EXPECT_EQ(eager_digest, lazy_digest);
+  const std::string materialised_digest =
+      campaign_digest(materialised, /*streaming=*/false);
+  const std::string streaming_digest =
+      campaign_digest(streaming, /*streaming=*/true);
+  for (const std::string& digest : {materialised_digest, streaming_digest}) {
+    EXPECT_EQ(digest.size(), kResidentLength);
+    EXPECT_EQ(util::fnv1a(digest), kResidentDigest);
+  }
   // Streaming eviction: every probed host was released again.
-  EXPECT_EQ(lazy.live_hosts(), 0u);
-  EXPECT_EQ(eager.live_hosts(), eager.address_count());
+  EXPECT_EQ(materialised.live_hosts(), 0u);
+  EXPECT_EQ(streaming.live_hosts(), 0u);
 }
 
 TEST(InternFleet, TargetSourceMatchesMaterialisedTargets) {

@@ -1,6 +1,7 @@
 # End-to-end --scenario smoke test, run as a ctest entry (DESIGN.md §17):
 #   1. each built-in scenario, initial-only, at --threads 1 vs --threads 8
-#      under the adversarial stealer — stdout must be byte-identical
+#      under the adversarial stealer (forced through the SPFAIL_STEAL test
+#      hook) — stdout must be byte-identical
 #   2. --scenario baseline vs no flag at all — byte-identical (the control
 #      stages nothing and prints nothing extra)
 #   3. a composed full-study run (forwarding,misconfig) halted at a mid-study
@@ -15,9 +16,10 @@ endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
+# SCAN_PREFIX, when set, is prepended to the command (an env wrapper).
 function(run_scan out_file)
   execute_process(
-    COMMAND "${SPFAIL_SCAN}" ${ARGN}
+    COMMAND ${SCAN_PREFIX} "${SPFAIL_SCAN}" ${ARGN}
     WORKING_DIRECTORY "${WORK_DIR}"
     OUTPUT_FILE "${out_file}"
     RESULT_VARIABLE rc)
@@ -40,8 +42,9 @@ set(FLAGS --scale 0.01 --initial-only)
 # 1. Per-scenario thread/scheduler determinism.
 foreach(name baseline forwarding alignment misconfig)
   run_scan("${name}_t1.out" ${FLAGS} --scenario ${name} --threads 1)
-  run_scan("${name}_t8.out" ${FLAGS} --scenario ${name} --threads 8
-           --sched steal --steal-mode adversarial)
+  set(SCAN_PREFIX "${CMAKE_COMMAND}" -E env SPFAIL_STEAL=adversarial)
+  run_scan("${name}_t8.out" ${FLAGS} --scenario ${name} --threads 8)
+  unset(SCAN_PREFIX)
   expect_same("${name}_t1.out" "${name}_t8.out"
               "scenario '${name}' output is thread-dependent")
 endforeach()

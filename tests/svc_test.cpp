@@ -493,6 +493,22 @@ TEST(SvcServiceRestart, CorruptStateFileIsRejected) {
   EXPECT_THROW(loop.run(), snapshot::SnapshotError);
 }
 
+// A saved svc_state file is a header, a payload and a checksum trailer.
+constexpr std::size_t kStateHead = 8 + 2;  // magic, version
+constexpr std::size_t kStateTail = 8;      // checksum
+
+std::string state_payload(const std::string& file) {
+  return file.substr(kStateHead, file.size() - kStateHead - kStateTail);
+}
+
+// `payload` framed with the header of `file` and a fresh checksum, so only
+// restore's field decoders and value checks can refuse it.
+std::string reframe_state(const std::string& file, std::string_view payload) {
+  snapshot::Writer tail;
+  tail.u64(snapshot::payload_checksum(payload));
+  return file.substr(0, kStateHead) + std::string(payload) + tail.bytes();
+}
+
 // One field of the first job record in a saved svc_state.
 enum class RecordField { Phase, Run, RoundsDone };
 
@@ -500,11 +516,9 @@ enum class RecordField { Phase, Run, RoundsDone };
 // with a valid checksum, so only restore's value checks can refuse it.
 void patch_first_job(const std::string& path, RecordField field,
                      std::uint64_t value) {
-  constexpr std::size_t kHead = 8 + 2;  // magic, version
-  constexpr std::size_t kTail = 8;      // checksum
   const std::string file = read_file(path);
-  ASSERT_GT(file.size(), kHead + kTail);
-  std::string payload = file.substr(kHead, file.size() - kHead - kTail);
+  ASSERT_GT(file.size(), kStateHead + kStateTail);
+  std::string payload = state_payload(file);
   snapshot::Reader r(payload);
   r.u64();      // completed ticks
   r.u64();      // seq counter
@@ -531,9 +545,7 @@ void patch_first_job(const std::string& path, RecordField field,
       break;
   }
   payload.replace(at, w.bytes().size(), w.bytes());
-  snapshot::Writer tail;
-  tail.u64(snapshot::payload_checksum(payload));
-  write_file(path, file.substr(0, kHead) + payload + tail.bytes());
+  write_file(path, reframe_state(file, payload));
 }
 
 // A record whose values no service could have saved is refused even when
@@ -684,6 +696,151 @@ TEST(SvcService, MaxTicksBoundsAnIdleService) {
   svc::ServiceLoop loop(config);
   EXPECT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks);
   EXPECT_EQ(loop.ticks(), 3u);
+}
+
+// --- mutation lane: corrupt svc_state payloads reach restore's decoders --
+//
+// Every case must restore or throw one of the three errors spfail_svc maps
+// to exit 2 (SnapshotError, ScanConfigError, ControlError). Anything else —
+// a std::bad_alloc from a count read off the file, say — or a sanitizer
+// report in the asan_faults / ubsan_net lanes is a decoder bug. Each mutated
+// payload is re-framed with a fresh checksum, so the mutation reaches the
+// field decoders instead of stopping at the checksum.
+
+// The completed-tick counter: the payload's first field.
+constexpr std::size_t kTickBytes = 8;
+
+// A scratch directory named after the running test as well: ctest runs
+// each case in its own process, in parallel, so a shared name would race.
+std::string test_scratch_dir(const std::string& name) {
+  return scratch_dir(
+      name + "_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name());
+}
+
+// A real multi-job state: three jobs (one with explicit nets, one
+// recurring) stopped after two ticks, with admission, registry and event
+// sections filled in.
+const std::string& multi_job_state() {
+  static const std::string state = [] {
+    const std::string dir = test_scratch_dir("mutation_base");
+    svc::SvcConfig config = small_config(dir);
+    config.max_ticks = 2;
+    write_file(config.control,
+               std::string("submit a ") + kTinyScale + "\n" + "submit b " +
+                   kTinyScale + " seed 4 nets 7,9\n" + "submit c " +
+                   kTinyScale + " recur 3 runs 2\n");
+    svc::ServiceLoop loop(config);
+    EXPECT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks);
+    return read_file(config.dir + "/svc_state");
+  }();
+  return state;
+}
+
+// Restores `state` in a scratch service directory. max_ticks is below the
+// saved tick counter, so run() returns straight after the restore without
+// running a job.
+svc::ServiceLoop::Status restore(const std::string& state) {
+  static const std::string dir = test_scratch_dir("mutation_case");
+  svc::SvcConfig config = small_config(dir);
+  config.max_ticks = 1;
+  std::filesystem::create_directories(config.dir);
+  write_file(config.dir + "/svc_state", state);
+  svc::ServiceLoop loop(config);
+  return loop.run();
+}
+
+// False when restore threw one of the errors spfail_svc maps to exit 2.
+bool restores_or_rejects(const std::string& state, const std::string& which) {
+  try {
+    restore(state);
+    return true;
+  } catch (const snapshot::SnapshotError&) {
+  } catch (const session::ScanConfigError&) {
+  } catch (const svc::ControlError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << which << " escaped as an unmapped error: " << e.what();
+  }
+  return false;
+}
+
+TEST(SvcStateMutation, SeededByteFlipsRestoreOrReject) {
+  const std::string& state = multi_job_state();
+  const std::string payload = state_payload(state);
+  ASSERT_EQ(reframe_state(state, payload), state);  // the split is exact
+  EXPECT_TRUE(restores_or_rejects(state, "unmutated state"));
+  // Flips skip the tick counter: it is a plain u64 no decoder checks, and a
+  // counter flipped below max_ticks would run a job on the mutated specs.
+  util::Rng rng(0x5EED3);
+  for (int i = 0; i < 300; ++i) {
+    std::string mutated = payload;
+    const std::uint64_t flips = rng.uniform(1, 4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      mutated[rng.uniform(kTickBytes, mutated.size() - 1)] ^=
+          static_cast<char>(rng.uniform(1, 255));
+    }
+    restores_or_rejects(reframe_state(state, mutated),
+                        "flip case " + std::to_string(i));
+  }
+}
+
+TEST(SvcStateMutation, EveryTruncationRestoresOrRejects) {
+  const std::string& state = multi_job_state();
+  const std::string payload = state_payload(state);
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_FALSE(restores_or_rejects(
+        reframe_state(state, std::string_view(payload).substr(0, cut)),
+        "truncation at " + std::to_string(cut)))
+        << "truncation at " << cut << " restored";
+  }
+}
+
+// The payload with the u32 at `at` overwritten by 0xFFFFFFFF.
+std::string inflate_count(std::string payload, std::size_t at) {
+  snapshot::Writer count;
+  count.u32(0xFFFFFFFFu);
+  payload.replace(at, 4, count.bytes());
+  return reframe_state(multi_job_state(), payload);
+}
+
+TEST(SvcStateMutation, InflatedJobCountIsRejectedBeforeReserving) {
+  // tick, seq counter and commands consumed (u64 each), then drain (u8).
+  constexpr std::size_t kJobCountAt = 3 * 8 + 1;
+  const std::string payload = state_payload(multi_job_state());
+  snapshot::Reader r(std::string_view(payload).substr(kJobCountAt));
+  ASSERT_EQ(r.u32(), 3u);
+  EXPECT_THROW(restore(inflate_count(payload, kJobCountAt)),
+               snapshot::SnapshotError);
+}
+
+TEST(SvcStateMutation, InflatedNetCountIsRejectedBeforeReserving) {
+  // Walk to the first job's nets count: the JobSpec fields before it.
+  const std::string payload = state_payload(multi_job_state());
+  snapshot::Reader r(payload);
+  r.u64();
+  r.u64();
+  r.u64();
+  r.boolean();
+  ASSERT_EQ(r.u32(), 3u);
+  r.str();  // id
+  for (int i = 0; i < 4; ++i) r.u64();  // scale, seed, study seed, threads
+  r.str();  // scenario
+  for (int i = 0; i < 5; ++i) r.u64();  // rounds, rate, seed, priority, recur
+  r.u32();  // runs
+  const std::size_t net_count_at = payload.size() - r.remaining();
+  ASSERT_EQ(r.u32(), 0u);  // job a derives its networks
+  EXPECT_THROW(restore(inflate_count(payload, net_count_at)),
+               snapshot::SnapshotError);
+}
+
+TEST(SvcStateMutation, SmallestJobSpecEncodingIsTheDecodeBound) {
+  // The bound restore divides by must never exceed a real encoding, or a
+  // valid state would be refused.
+  svc::JobSpec spec;
+  spec.id.clear();
+  snapshot::Writer w;
+  spec.encode(w);
+  EXPECT_EQ(w.bytes().size(), svc::JobSpec::kMinEncodedBytes);
 }
 
 // --- svc flag registry ---

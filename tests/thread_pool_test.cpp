@@ -10,6 +10,7 @@
 
 #include "longitudinal/study.hpp"
 #include "population/fleet.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spfail {
@@ -24,6 +25,12 @@ TEST(ThreadPool, ResolveThreadCountPrefersExplicitRequest) {
   ::setenv("SPFAIL_THREADS", "5", 1);
   EXPECT_EQ(util::resolve_thread_count(0), 5u);
   EXPECT_EQ(util::resolve_thread_count(2), 2u);  // request still wins
+  // A value that is not a whole number >= 0 is rejected, not truncated.
+  for (const char* bad : {"2x", "abc", "-1"}) {
+    ::setenv("SPFAIL_THREADS", bad, 1);
+    EXPECT_THROW(util::resolve_thread_count(0), std::invalid_argument) << bad;
+    EXPECT_EQ(util::resolve_thread_count(2), 2u) << bad;
+  }
   ::unsetenv("SPFAIL_THREADS");
   EXPECT_GE(util::resolve_thread_count(0), 1u);
 }
@@ -34,9 +41,9 @@ TEST(ThreadPool, CoversFullRangeExactlyOnce) {
   const std::size_t n = 1003;
   std::vector<std::atomic<int>> touched(n);
   for (auto& t : touched) t = 0;
-  pool.parallel_for_shards(n, [&](std::size_t shard, std::size_t begin,
-                                  std::size_t end) {
-    EXPECT_LT(shard, pool.shard_count(n));
+  pool.parallel_for_batches(n, {}, [&](std::size_t batch, std::size_t begin,
+                                      std::size_t end) {
+    EXPECT_LT(batch, pool.batch_count(n));
     EXPECT_LE(begin, end);
     for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
   });
@@ -47,46 +54,47 @@ TEST(ThreadPool, CoversFullRangeExactlyOnce) {
 
 TEST(ThreadPool, ShardCountNeverExceedsItemsOrWorkers) {
   util::ThreadPool pool(8);
-  EXPECT_EQ(pool.shard_count(0), 0u);
-  EXPECT_EQ(pool.shard_count(3), 3u);
-  EXPECT_EQ(pool.shard_count(8), 8u);
-  EXPECT_EQ(pool.shard_count(1000), 8u);
+  EXPECT_EQ(pool.batch_count(0), 0u);
+  EXPECT_EQ(pool.batch_count(3), 3u);
+  EXPECT_EQ(pool.batch_count(64), 64u);
+  EXPECT_EQ(pool.batch_count(1000), 64u);  // 8 workers * 8 batches
 }
 
 TEST(ThreadPool, EmptyRangeDoesNotInvoke) {
   util::ThreadPool pool(2);
   std::atomic<int> calls{0};
-  pool.parallel_for_shards(
-      0, [&](std::size_t, std::size_t, std::size_t) { calls.fetch_add(1); });
+  pool.parallel_for_batches(0, {}, [&](std::size_t, std::size_t, std::size_t) {
+    calls.fetch_add(1);
+  });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPool, PropagatesWorkerExceptions) {
   util::ThreadPool pool(4);
   EXPECT_THROW(
-      pool.parallel_for_shards(100,
-                               [&](std::size_t shard, std::size_t,
-                                   std::size_t) {
-                                 if (shard == 2) {
-                                   throw std::runtime_error("shard 2 died");
-                                 }
-                               }),
+      pool.parallel_for_batches(100, {},
+                                [&](std::size_t batch, std::size_t,
+                                    std::size_t) {
+                                  if (batch == 2) {
+                                    throw std::runtime_error("batch 2 died");
+                                  }
+                                }),
       std::runtime_error);
-  // When several shards throw, the lowest shard's exception wins — a
+  // When several batches throw, the lowest batch's exception wins — a
   // deterministic choice, not a race.
   try {
-    pool.parallel_for_shards(100, [&](std::size_t shard, std::size_t,
-                                      std::size_t) {
-      throw std::runtime_error("shard " + std::to_string(shard));
+    pool.parallel_for_batches(100, {}, [&](std::size_t batch, std::size_t,
+                                           std::size_t) {
+      throw std::runtime_error("batch " + std::to_string(batch));
     });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "shard 0");
+    EXPECT_STREQ(error.what(), "batch 0");
   }
   // The pool survives worker exceptions and stays usable.
   std::atomic<int> sum{0};
-  pool.parallel_for_shards(10, [&](std::size_t, std::size_t begin,
-                                   std::size_t end) {
+  pool.parallel_for_batches(10, {}, [&](std::size_t, std::size_t begin,
+                                        std::size_t end) {
     sum.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(sum.load(), 10);
@@ -96,8 +104,8 @@ TEST(ThreadPool, CleanShutdownAfterWork) {
   for (int round = 0; round < 8; ++round) {
     util::ThreadPool pool(3);
     std::atomic<int> sum{0};
-    pool.parallel_for_shards(17, [&](std::size_t, std::size_t begin,
-                                     std::size_t end) {
+    pool.parallel_for_batches(17, {}, [&](std::size_t, std::size_t begin,
+                                          std::size_t end) {
       sum.fetch_add(static_cast<int>(end - begin));
     });
     EXPECT_EQ(sum.load(), 17);
@@ -258,14 +266,17 @@ TEST(ThreadDeterminism, StudyBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadDeterminism, LazyStreamingCampaignBitIdenticalAcrossThreadCounts) {
-  // §14: the lazy fleet materialises hosts on probe and evicts them after,
-  // and the campaign consumes the zero-copy TargetSource view. Neither may
-  // perturb a single output byte relative to the eager serial run.
-  const auto run_campaign = [](int threads, bool lazy) {
+  // §14: the fleet materialises hosts on probe and evicts them after, and
+  // the campaign consumes the zero-copy TargetSource view. Neither may
+  // perturb a single output byte relative to the serial run over a fleet
+  // that held every host resident — pinned here as the fnv1a and length of
+  // that run, captured before the resident fleet was deleted.
+  constexpr std::uint64_t kResidentDigest = 1475527013108841729ULL;
+  constexpr std::size_t kResidentLength = 708173;
+  const auto run_campaign = [](int threads) {
     population::FleetConfig config;
     config.scale = 0.02;
     config.seed = 7;
-    config.lazy_hosts = lazy;
     population::Fleet fleet(config);
     scan::CampaignConfig campaign_config;
     campaign_config.prober.responder = fleet.responder();
@@ -273,16 +284,18 @@ TEST(ThreadDeterminism, LazyStreamingCampaignBitIdenticalAcrossThreadCounts) {
     scan::Campaign campaign(campaign_config, fleet.dns(), fleet.clock(),
                             fleet);
     const scan::CampaignReport report = campaign.run(fleet.target_source());
+    EXPECT_EQ(fleet.live_hosts(), 0u);
     std::ostringstream out;
     serialize_campaign(out, report);
     out << "clock=" << fleet.clock().now()
         << " queries=" << fleet.dns().query_log().size() << "\n";
     return out.str();
   };
-  const std::string eager_serial = run_campaign(1, false);
-  EXPECT_EQ(eager_serial, run_campaign(1, true));
-  EXPECT_EQ(eager_serial, run_campaign(2, true));
-  EXPECT_EQ(eager_serial, run_campaign(8, true));
+  for (const int threads : {1, 2, 8}) {
+    const std::string report = run_campaign(threads);
+    EXPECT_EQ(report.size(), kResidentLength) << "threads=" << threads;
+    EXPECT_EQ(util::fnv1a(report), kResidentDigest) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // semantics, exactly-once batch delivery under racing thieves, and the
 // load-bearing guarantee that steal schedules are invisible in the output —
 // a campaign run under the adversarial stealer is byte-identical to the
-// static-shard baseline at any thread count. The whole file re-runs under
-// TSan via the tsan_lockfree ctest entry.
+// no-steal baseline at any thread count. The whole file re-runs under TSan
+// via the tsan_lockfree ctest entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 
 #include "population/fleet.hpp"
 #include "scan/campaign.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_steal.hpp"
 
@@ -88,67 +89,41 @@ TEST(WorkStealDeque, RacingThievesDrainEachValueExactlyOnce) {
 // ------------------------------------------------------------- options
 
 TEST(WorkStealOptions, ParsersRejectUnknownNames) {
-  EXPECT_EQ(util::parse_sched_policy("auto"), util::SchedPolicy::Auto);
-  EXPECT_EQ(util::parse_sched_policy("static"), util::SchedPolicy::Static);
-  EXPECT_EQ(util::parse_sched_policy("steal"), util::SchedPolicy::Steal);
-  EXPECT_THROW(util::parse_sched_policy("stealx"), std::invalid_argument);
-  EXPECT_THROW(util::parse_sched_policy(""), std::invalid_argument);
-
+  EXPECT_EQ(util::parse_steal_mode("auto"), util::StealMode::Auto);
   EXPECT_EQ(util::parse_steal_mode("none"), util::StealMode::None);
   EXPECT_EQ(util::parse_steal_mode("random"), util::StealMode::Random);
   EXPECT_EQ(util::parse_steal_mode("adversarial"),
             util::StealMode::Adversarial);
   EXPECT_THROW(util::parse_steal_mode("greedy"), std::invalid_argument);
+  EXPECT_THROW(util::parse_steal_mode(""), std::invalid_argument);
 }
 
 TEST(WorkStealOptions, AutoResolvesFromEnvironmentExplicitWins) {
-  util::SchedulerOptions opts;
-  ::unsetenv("SPFAIL_SCHED");
   ::unsetenv("SPFAIL_STEAL");
-  util::SchedulerOptions resolved = opts.resolved();
-  EXPECT_EQ(resolved.policy, util::SchedPolicy::Steal);  // default
-  EXPECT_EQ(resolved.steal, util::StealMode::Random);    // default
+  EXPECT_EQ(util::resolve_steal_mode(util::StealMode::Auto),
+            util::StealMode::Random);  // default
 
-  ::setenv("SPFAIL_SCHED", "static", 1);
   ::setenv("SPFAIL_STEAL", "adversarial", 1);
-  resolved = opts.resolved();
-  EXPECT_EQ(resolved.policy, util::SchedPolicy::Static);
-  EXPECT_EQ(resolved.steal, util::StealMode::Adversarial);
+  EXPECT_EQ(util::resolve_steal_mode(util::StealMode::Auto),
+            util::StealMode::Adversarial);
 
-  // Explicit fields pass through untouched.
-  opts.policy = util::SchedPolicy::Steal;
-  opts.steal = util::StealMode::None;
-  resolved = opts.resolved();
-  EXPECT_EQ(resolved.policy, util::SchedPolicy::Steal);
-  EXPECT_EQ(resolved.steal, util::StealMode::None);
+  // An explicit mode passes through untouched.
+  EXPECT_EQ(util::resolve_steal_mode(util::StealMode::None),
+            util::StealMode::None);
 
-  ::setenv("SPFAIL_SCHED", "bogus", 1);
-  opts.policy = util::SchedPolicy::Auto;
-  EXPECT_THROW(opts.resolved(), std::invalid_argument);
-  ::unsetenv("SPFAIL_SCHED");
+  ::setenv("SPFAIL_STEAL", "bogus", 1);
+  EXPECT_THROW(util::resolve_steal_mode(util::StealMode::Auto),
+               std::invalid_argument);
   ::unsetenv("SPFAIL_STEAL");
 }
 
 // ----------------------------------------------------------------- pool
 
-util::SchedulerOptions steal_opts(util::StealMode mode) {
-  util::SchedulerOptions opts;
-  opts.policy = util::SchedPolicy::Steal;
-  opts.steal = mode;
-  return opts;
-}
-
 TEST(WorkStealPool, BatchCountScalesWithWorkersAndClampsToItems) {
   util::ThreadPool pool(4);
-  const util::SchedulerOptions opts = steal_opts(util::StealMode::Random);
-  EXPECT_EQ(pool.batch_count(0, opts), 0u);
-  EXPECT_EQ(pool.batch_count(10, opts), 10u);   // never more than n
-  EXPECT_EQ(pool.batch_count(1000, opts), 32u);  // 4 workers * 8 batches
-  // slice_count dispatches on the policy.
-  util::SchedulerOptions static_opts;
-  static_opts.policy = util::SchedPolicy::Static;
-  EXPECT_EQ(pool.slice_count(1000, static_opts), 4u);
-  EXPECT_EQ(pool.slice_count(1000, opts), 32u);
+  EXPECT_EQ(pool.batch_count(0), 0u);
+  EXPECT_EQ(pool.batch_count(10), 10u);   // never more than n
+  EXPECT_EQ(pool.batch_count(1000), 32u);  // 4 workers * 8 batches
 }
 
 TEST(WorkStealPool, BatchesCoverFullRangeExactlyOnceUnderEveryMode) {
@@ -158,17 +133,16 @@ TEST(WorkStealPool, BatchesCoverFullRangeExactlyOnceUnderEveryMode) {
     const std::size_t n = 1003;
     std::vector<std::atomic<int>> touched(n);
     for (auto& t : touched) t.store(0);
-    const util::SchedulerOptions opts = steal_opts(mode);
-    pool.parallel_for_batches(n, opts, [&](std::size_t batch,
+    pool.parallel_for_batches(n, mode, [&](std::size_t batch,
                                            std::size_t begin,
                                            std::size_t end) {
-      EXPECT_LT(batch, pool.batch_count(n, opts));
+      EXPECT_LT(batch, pool.batch_count(n));
       EXPECT_LT(begin, end);
       for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
     });
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(touched[i].load(), 1)
-          << "index " << i << " mode " << util::to_string(mode);
+          << "index " << i << " mode " << static_cast<int>(mode);
     }
   }
 }
@@ -180,10 +154,9 @@ TEST(WorkStealPool, BatchOrderMergeIsScheduleInvariant) {
   const auto merged = [](int threads, util::StealMode mode) {
     util::ThreadPool pool(threads);
     const std::size_t n = 509;
-    const util::SchedulerOptions opts = steal_opts(mode);
-    std::vector<std::vector<std::size_t>> slots(pool.batch_count(n, opts));
+    std::vector<std::vector<std::size_t>> slots(pool.batch_count(n));
     pool.parallel_for_batches(
-        n, opts, [&](std::size_t batch, std::size_t begin, std::size_t end) {
+        n, mode, [&](std::size_t batch, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             slots[batch].push_back(i * i);
           }
@@ -205,15 +178,13 @@ TEST(WorkStealPool, BatchOrderMergeIsScheduleInvariant) {
 }
 
 TEST(WorkStealPool, SuppressedBatchErrorsAreLoggedFirstWins) {
-  // Satellite of §16: parallel_for_shards used to rethrow only the first
-  // exception and silently drop the rest. Every later error now reaches
-  // stderr before the first (in slot order) is rethrown.
+  // Only the first exception is rethrown; every later error reaches stderr
+  // before it, so a multi-batch failure never narrows silently to one.
   util::ThreadPool pool(4);
-  const util::SchedulerOptions opts = steal_opts(util::StealMode::Random);
   testing::internal::CaptureStderr();
   try {
     pool.parallel_for_batches(
-        32, opts, [&](std::size_t batch, std::size_t, std::size_t) {
+        32, util::StealMode::Random, [&](std::size_t batch, std::size_t, std::size_t) {
           if (batch == 3 || batch == 7) {
             throw std::runtime_error("batch " + std::to_string(batch) +
                                      " died");
@@ -226,28 +197,30 @@ TEST(WorkStealPool, SuppressedBatchErrorsAreLoggedFirstWins) {
   const std::string logged = testing::internal::GetCapturedStderr();
   EXPECT_NE(logged.find("suppressed error"), std::string::npos);
   EXPECT_NE(logged.find("batch 7 died"), std::string::npos);
-  // The same contract holds on the static path.
+  // "First" is by batch index, not by which worker threw first: the
+  // adversarial stealer runs batches out of order.
   testing::internal::CaptureStderr();
   try {
-    pool.parallel_for_shards(100, [&](std::size_t shard, std::size_t,
-                                      std::size_t) {
-      if (shard >= 2) {
-        throw std::runtime_error("shard " + std::to_string(shard));
-      }
-    });
+    pool.parallel_for_batches(
+        100, util::StealMode::Adversarial,
+        [&](std::size_t batch, std::size_t, std::size_t) {
+          if (batch >= 2) {
+            throw std::runtime_error("batch " + std::to_string(batch));
+          }
+        });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "shard 2");
+    EXPECT_STREQ(error.what(), "batch 2");
   }
-  const std::string shard_logged = testing::internal::GetCapturedStderr();
-  EXPECT_NE(shard_logged.find("suppressed error"), std::string::npos);
-  EXPECT_NE(shard_logged.find("shard 3"), std::string::npos);
+  const std::string adversarial_logged = testing::internal::GetCapturedStderr();
+  EXPECT_NE(adversarial_logged.find("suppressed error"), std::string::npos);
+  EXPECT_NE(adversarial_logged.find("batch 3"), std::string::npos);
 }
 
 // --------------------------------------------------------- determinism
 
-std::string run_campaign(int threads, util::SchedPolicy policy,
-                         util::StealMode mode, double fault_rate = 0.0) {
+std::string run_campaign(int threads, util::StealMode mode,
+                         double fault_rate = 0.0) {
   population::FleetConfig config;
   config.scale = 0.02;
   config.seed = 7;
@@ -255,8 +228,7 @@ std::string run_campaign(int threads, util::SchedPolicy policy,
   scan::CampaignConfig campaign_config;
   campaign_config.prober.responder = fleet.responder();
   campaign_config.threads = threads;
-  campaign_config.sched.policy = policy;
-  campaign_config.sched.steal = mode;
+  campaign_config.steal = mode;
   campaign_config.faults.rate = fault_rate;
   campaign_config.faults.seed = 42;
   scan::Campaign campaign(campaign_config, fleet.dns(), fleet.clock(), fleet);
@@ -281,39 +253,33 @@ std::string run_campaign(int threads, util::SchedPolicy policy,
 }
 
 TEST(WorkStealDeterminism, CampaignByteIdenticalStaticVsStealAnyThreads) {
-  const std::string baseline =
-      run_campaign(1, util::SchedPolicy::Static, util::StealMode::None);
-  EXPECT_EQ(baseline, run_campaign(1, util::SchedPolicy::Steal,
-                                   util::StealMode::Random));
-  EXPECT_EQ(baseline, run_campaign(2, util::SchedPolicy::Steal,
-                                   util::StealMode::Random));
-  EXPECT_EQ(baseline, run_campaign(8, util::SchedPolicy::Steal,
-                                   util::StealMode::Random));
-  EXPECT_EQ(baseline, run_campaign(8, util::SchedPolicy::Static,
-                                   util::StealMode::None));
+  // fnv1a and length of the 1-thread run under the one-slice-per-worker
+  // static scheduler, captured before that scheduler was deleted. The steal
+  // scheduler must reproduce it at any thread count.
+  constexpr std::uint64_t kStaticDigest = 3290130814725409056ULL;
+  constexpr std::size_t kStaticLength = 239241;
+  for (const int threads : {1, 2, 8}) {
+    const std::string report = run_campaign(threads, util::StealMode::Random);
+    EXPECT_EQ(report.size(), kStaticLength) << "threads=" << threads;
+    EXPECT_EQ(util::fnv1a(report), kStaticDigest) << "threads=" << threads;
+  }
 }
 
 TEST(WorkStealDeterminism, AdversarialStealerMatchesNoStealByteForByte) {
   // The seeded adversarial stealer raids every victim before touching its
   // own deque — maximal batch migration. The report must not move a byte
   // relative to the no-steal schedule.
-  const std::string no_steal =
-      run_campaign(4, util::SchedPolicy::Steal, util::StealMode::None);
-  EXPECT_EQ(no_steal, run_campaign(4, util::SchedPolicy::Steal,
-                                   util::StealMode::Adversarial));
-  EXPECT_EQ(no_steal, run_campaign(2, util::SchedPolicy::Steal,
-                                   util::StealMode::Adversarial));
+  const std::string no_steal = run_campaign(4, util::StealMode::None);
+  EXPECT_EQ(no_steal, run_campaign(4, util::StealMode::Adversarial));
+  EXPECT_EQ(no_steal, run_campaign(2, util::StealMode::Adversarial));
 }
 
 TEST(WorkStealDeterminism, FaultInjectedAdversarialStillByteIdentical) {
   // With the fault layer live (retries, breaker, re-queue wave) the steal
   // schedule still may not leak into the report.
-  const std::string baseline =
-      run_campaign(1, util::SchedPolicy::Static, util::StealMode::None, 0.10);
-  EXPECT_EQ(baseline, run_campaign(8, util::SchedPolicy::Steal,
-                                   util::StealMode::Random, 0.10));
-  EXPECT_EQ(baseline, run_campaign(8, util::SchedPolicy::Steal,
-                                   util::StealMode::Adversarial, 0.10));
+  const std::string baseline = run_campaign(1, util::StealMode::None, 0.10);
+  EXPECT_EQ(baseline, run_campaign(8, util::StealMode::Random, 0.10));
+  EXPECT_EQ(baseline, run_campaign(8, util::StealMode::Adversarial, 0.10));
 }
 
 }  // namespace
