@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   double scale = 0.02;
   std::uint64_t seed = 2021;
   std::size_t max_domains = 4096;
-  std::size_t rounds = 8;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -73,12 +72,10 @@ int main(int argc, char** argv) {
       seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--max-domains") {
       max_domains = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--rounds") {
-      rounds = std::strtoull(next(), nullptr, 10);
     } else {
       std::cerr << "unknown option " << arg
                 << " (expected --out PATH, --scale S, --seed N, "
-                   "--max-domains N, --rounds N)\n";
+                   "--max-domains N)\n";
       return 2;
     }
   }
@@ -98,7 +95,6 @@ int main(int argc, char** argv) {
     scenario::RunnerOptions options;
     options.seed = seed;
     options.max_domains = max_domains;
-    options.rounds = rounds;
 
     Measured measured;
     measured.spec = &spec;
@@ -175,18 +171,6 @@ int main(int argc, char** argv) {
     tally("legit", m.report.legit, ",");
     tally("forwarded", m.report.forwarded, ",");
     tally("spoof", m.report.spoof, ",");
-    out << "      \"rounds\": [\n";
-    for (std::size_t r = 0; r < m.report.rounds.size(); ++r) {
-      const scenario::RoundTallies& rt = m.report.rounds[r];
-      out << "        {\"round\": " << r
-          << ", \"spoof_delivered_rate\": " << rt.spoof_delivered_rate()
-          << ", \"legit_rejected_rate\": " << rt.legit_rejected_rate()
-          << ", \"spoof_flows\": " << rt.spoof.flows
-          << ", \"spoof_delivered\": " << rt.spoof.delivered
-          << ", \"legit_rejected\": " << rt.legit.rejected << "}"
-          << (r + 1 < m.report.rounds.size() ? "," : "") << "\n";
-    }
-    out << "      ],\n";
     out << "      \"spoof_delivered_rate\": "
         << m.report.spoof_delivered_rate() << ",\n"
         << "      \"spoof_rejected_rate\": " << m.report.spoof_rejected_rate()

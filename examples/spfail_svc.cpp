@@ -19,9 +19,8 @@
 // Control file grammar (re-read every tick, consumed strictly in order):
 //
 //   submit <id> [scale S] [seed N] [study-seed N] [threads N]
-//               [scenario NAMES] [scenario-rounds N] [fault-rate R]
-//               [fault-seed N] [priority N] [recur TICKS] [runs N]
-//               [nets A,B,C]
+//               [scenario NAMES] [fault-rate R] [fault-seed N]
+//               [priority N] [recur TICKS] [runs N] [nets A,B,C]
 //   status                # write <dir>/status.txt
 //   drain                 # finish everything queued/running, then exit
 //   at <tick> <command>   # defer a command until the given tick

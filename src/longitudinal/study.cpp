@@ -54,7 +54,8 @@ Study::Study(population::Fleet& fleet, StudyConfig config)
       config_(config),
       plan_(config_.faults),
       engine_(plan_, retry_, fleet.clock()),
-      round_times_(measurement_round_times()) {
+      round_times_(measurement_round_times()),
+      strings_digest_(fleet.strings().digest()) {
   faults::RetryConfig retry = config_.retry;
   if (retry.max_attempts == 0) {
     // The legacy schedule: one greylist retry after the paper's backoff.
@@ -547,6 +548,7 @@ snapshot::SnapshotMeta Study::meta() const {
   meta.fault_seed = config_.faults.seed;
   meta.fault_rate = config_.faults.rate;
   meta.tracing = config_.trace != nullptr;
+  meta.strings_digest = strings_digest_;
   return meta;
 }
 
@@ -597,39 +599,7 @@ snapshot::StudySnapshot Study::capture(const State& state) const {
 }
 
 Study::State Study::restore(const snapshot::StudySnapshot& snap) {
-  const snapshot::SnapshotMeta expected = meta();
-  const auto mismatch = [](const std::string& what, const std::string& got,
-                           const std::string& want) -> snapshot::SnapshotError {
-    return snapshot::SnapshotError("meta mismatch: snapshot " + what + " is " +
-                                   got + ", this run expects " + want);
-  };
-  if (snap.meta.kind != expected.kind) {
-    throw mismatch("kind", to_string(snap.meta.kind), to_string(expected.kind));
-  }
-  if (snap.meta.fleet_seed != expected.fleet_seed) {
-    throw mismatch("fleet seed", std::to_string(snap.meta.fleet_seed),
-                   std::to_string(expected.fleet_seed));
-  }
-  if (snap.meta.scale != expected.scale) {
-    throw mismatch("scale", std::to_string(snap.meta.scale),
-                   std::to_string(expected.scale));
-  }
-  if (snap.meta.study_seed != expected.study_seed) {
-    throw mismatch("study seed", std::to_string(snap.meta.study_seed),
-                   std::to_string(expected.study_seed));
-  }
-  if (snap.meta.fault_seed != expected.fault_seed) {
-    throw mismatch("fault seed", std::to_string(snap.meta.fault_seed),
-                   std::to_string(expected.fault_seed));
-  }
-  if (snap.meta.fault_rate != expected.fault_rate) {
-    throw mismatch("fault rate", std::to_string(snap.meta.fault_rate),
-                   std::to_string(expected.fault_rate));
-  }
-  if (snap.meta.tracing != expected.tracing) {
-    throw mismatch("tracing", snap.meta.tracing ? "on" : "off",
-                   expected.tracing ? "on" : "off");
-  }
+  snapshot::check_meta(snap.meta, meta());
   if (snap.rounds_done > round_times_.size()) {
     throw snapshot::SnapshotError(
         "snapshot has " + std::to_string(snap.rounds_done) +

@@ -175,8 +175,8 @@ class Study {
   std::size_t total_rounds() const { return round_times_.size(); }
 
   // The paper's longitudinal round count (the two every-2-days measurement
-  // windows), without needing a Study instance — the scenario per-round
-  // series and the scan service pace themselves against it.
+  // windows), without needing a Study instance — the scan service bounds
+  // restored job records by it.
   static std::size_t standard_round_count();
   bool rounds_remaining(const State& state) const {
     return state.next_round < round_times_.size();
@@ -195,9 +195,9 @@ class Study {
   snapshot::StudySnapshot capture(const State& state) const;
 
   // Rebuild a State from a snapshot taken by an identically configured run
-  // (same fleet seed/scale, study seed, fault plan, tracing). The fleet must
-  // be freshly constructed. Throws snapshot::SnapshotError on any
-  // configuration mismatch or inconsistency.
+  // (same fleet seed/scale and population, study seed, fault plan,
+  // tracing). The fleet must be freshly constructed. Throws
+  // snapshot::SnapshotError on any configuration mismatch or inconsistency.
   State restore(const snapshot::StudySnapshot& snap);
 
   // The meta block capture() stamps and restore() verifies.
@@ -277,6 +277,9 @@ class Study {
   faults::RetryPolicy retry_;
   scan::ProbeEngine engine_;
   std::vector<util::SimTime> round_times_;
+  // The fleet's Interner::digest(), taken once per run: the population is
+  // fixed once the fleet is built, and every checkpoint's meta carries it.
+  std::uint64_t strings_digest_;
 };
 
 }  // namespace spfail::longitudinal

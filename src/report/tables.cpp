@@ -11,7 +11,6 @@
 
 #include "longitudinal/pkgmgr.hpp"
 #include "population/paper_constants.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 namespace spfail::report {
@@ -750,31 +749,6 @@ util::TextTable scenario_outcomes(
                                         report.spoof.spf_permerror),
                  static_cast<long long>(std::max<std::uint64_t>(1, all_flows)),
                  1)});
-    // Longitudinal series (DESIGN.md §17): the same flows replayed per study
-    // round over the persistent receiver fleet. Rendered as sparklines plus
-    // the final round's headline rate, so recurring re-measurement drift
-    // (greylist warm-up, pct= sampling) is visible at a glance.
-    if (report.rounds.size() > 1) {
-      std::vector<double> spoof_series;
-      std::vector<double> legit_series;
-      for (const scenario::RoundTallies& round : report.rounds) {
-        spoof_series.push_back(round.spoof_delivered_rate());
-        legit_series.push_back(round.legit_rejected_rate());
-      }
-      table.add_row({"", "rounds measured",
-                     count(static_cast<std::uint64_t>(report.rounds.size()))});
-      table.add_row(
-          {"", "spoof delivered by round", util::sparkline(spoof_series)});
-      table.add_row(
-          {"", "legit rejected by round", util::sparkline(legit_series)});
-      const scenario::RoundTallies& last = report.rounds.back();
-      table.add_row(
-          {"", "final-round spoof delivered",
-           percent(static_cast<long long>(last.spoof.delivered),
-                   static_cast<long long>(
-                       std::max<std::uint64_t>(1, last.spoof.flows)),
-                   1)});
-    }
   }
   return table;
 }

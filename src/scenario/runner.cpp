@@ -1,5 +1,6 @@
 #include "scenario/runner.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 #include "dkim/dkim.hpp"
@@ -47,15 +48,6 @@ double ScenarioReport::spoof_rejected_rate() const noexcept {
 }
 
 double ScenarioReport::legit_rejected_rate() const noexcept {
-  return rate(legit.rejected + forwarded.rejected,
-              legit.flows + forwarded.flows);
-}
-
-double RoundTallies::spoof_delivered_rate() const noexcept {
-  return rate(spoof.delivered, spoof.flows);
-}
-
-double RoundTallies::legit_rejected_rate() const noexcept {
   return rate(legit.rejected + forwarded.rejected,
               legit.flows + forwarded.flows);
 }
@@ -260,53 +252,59 @@ ScenarioReport run_scenario(population::Fleet& fleet, const ScenarioSpec& spec,
     return nullptr;
   };
 
-  // Selection pass: the staged focus domains, in domain order, truncated at
-  // max_domains. Selection never depends on flow outcomes, so splitting it
-  // from the flow loop keeps round 0 byte-identical to the historic
-  // interleaved form while letting later rounds replay the same set.
-  std::vector<std::size_t> staged;
+  // The staged focus domains, in domain order, truncated at max_domains.
   const auto& domains = fleet.domains();
   for (std::size_t i = 0; i < domains.size(); ++i) {
-    if (!focus_selects(spec.focus, fleet.sender_policy(i))) continue;
-    if (staged.size() >= options.max_domains) {
+    const SenderPolicy& policy = fleet.sender_policy(i);
+    if (!focus_selects(spec.focus, policy)) continue;
+    if (report.domains_staged >= options.max_domains) {
       report.truncated = true;
       break;
     }
-    staged.push_back(i);
-  }
-  report.domains_staged = staged.size();
-  if (staged.empty()) return report;
-
-  // Round 0 is the initial measurement; each later round replays the same
-  // flows against the same receiver hosts, whose greylist and policy state
-  // persists — the longitudinal re-measurement series.
-  for (std::size_t round = 0; round <= options.rounds; ++round) {
-    RoundTallies out;
-    for (const std::size_t i : staged) {
-      const population::DomainRecord& domain = domains[i];
-      const SenderPolicy& policy = fleet.sender_policy(i);
-      const Flow flows[] = {legit_flow(domain, policy), spoof_flow(domain)};
-      for (const Flow& flow : flows) {
-        mta::MailHost* host = pick_receiver(domain.name, flow.flow_class);
-        if (host == nullptr) continue;  // every receiver blacklisted
-        const bool delivered = deliver(*host, flow);
-        FlowTally& bucket = flow.flow_class == FlowClass::Spoof
-                                ? out.spoof
-                                : (flow.flow_class == FlowClass::Forwarded
-                                       ? out.forwarded
-                                       : out.legit);
-        tally(bucket, *host, delivered);
-        fleet.release_host(host->address());
-      }
+    ++report.domains_staged;
+    const population::DomainRecord& domain = domains[i];
+    const Flow flows[] = {legit_flow(domain, policy), spoof_flow(domain)};
+    for (const Flow& flow : flows) {
+      mta::MailHost* host = pick_receiver(domain.name, flow.flow_class);
+      if (host == nullptr) continue;  // every receiver blacklisted
+      const bool delivered = deliver(*host, flow);
+      FlowTally& bucket = flow.flow_class == FlowClass::Spoof
+                              ? report.spoof
+                              : (flow.flow_class == FlowClass::Forwarded
+                                     ? report.forwarded
+                                     : report.legit);
+      tally(bucket, *host, delivered);
+      fleet.release_host(host->address());
     }
-    if (round == 0) {
-      report.legit = out.legit;
-      report.forwarded = out.forwarded;
-      report.spoof = out.spoof;
-    }
-    report.rounds.push_back(out);
   }
   return report;
+}
+
+std::vector<ScenarioReport> run_scenarios(
+    const std::vector<ScenarioSpec>& specs, double scale, std::uint64_t seed) {
+  const population::PolicyMix mix = resolve_mix(specs);
+  std::unique_ptr<population::Fleet> staged;
+  if (mix.stages_senders()) {
+    population::FleetConfig config;
+    config.scale = scale;
+    config.seed = seed;
+    config.mix = mix;
+    staged = std::make_unique<population::Fleet>(config);
+  }
+  RunnerOptions options;
+  options.seed = seed;
+  std::vector<ScenarioReport> reports;
+  for (const ScenarioSpec& spec : specs) {
+    if (staged) {
+      reports.push_back(run_scenario(*staged, spec, options));
+    } else {
+      ScenarioReport report;
+      report.name = spec.name;
+      report.version = spec.version;
+      reports.push_back(std::move(report));
+    }
+  }
+  return reports;
 }
 
 }  // namespace spfail::scenario

@@ -48,19 +48,6 @@ struct FlowTally {
   friend bool operator==(const FlowTally&, const FlowTally&) = default;
 };
 
-// The three flow tallies one measurement round produced — one entry of the
-// per-round longitudinal series (round 0 is the initial state).
-struct RoundTallies {
-  FlowTally legit;
-  FlowTally forwarded;
-  FlowTally spoof;
-
-  double spoof_delivered_rate() const noexcept;
-  double legit_rejected_rate() const noexcept;
-
-  friend bool operator==(const RoundTallies&, const RoundTallies&) = default;
-};
-
 struct ScenarioReport {
   std::string name;  // spec name
   int version = 1;
@@ -69,15 +56,6 @@ struct ScenarioReport {
   FlowTally legit;
   FlowTally forwarded;
   FlowTally spoof;
-
-  // Longitudinal series: rounds[0] equals the initial tallies above; each
-  // later entry replays the same flows against the same (now warmed-up)
-  // receiver fleet at the next study round. Greylist state and DMARC pct=
-  // sampling drift across rounds, so the series shows how the attack
-  // surface looks under recurring re-measurement, not just first contact.
-  // Empty when nothing was staged or RunnerOptions::rounds == 0 requested
-  // no series beyond the implicit initial entry.
-  std::vector<RoundTallies> rounds;
 
   // Oracle denominators (0 flows -> rate 0).
   double spoof_delivered_rate() const noexcept;
@@ -94,9 +72,6 @@ struct RunnerOptions {
   // Upper bound on focus domains exercised, so full-scale fleets stay
   // affordable; selection is prefix-deterministic (first N in domain order).
   std::size_t max_domains = 4096;
-  // Longitudinal re-measurement rounds beyond the initial pass: the report's
-  // `rounds` series gets 1 + rounds entries (entry 0 is the initial state).
-  std::size_t rounds = 0;
 };
 
 // Run `spec`'s flows against `fleet` (which must have been built with a mix
@@ -104,5 +79,13 @@ struct RunnerOptions {
 // it). Baseline specs yield an all-zero report.
 ScenarioReport run_scenario(population::Fleet& fleet, const ScenarioSpec& spec,
                             const RunnerOptions& options = {});
+
+// One report per spec, in order, measured over one fleet built fresh at
+// (scale, seed) with the specs' merged mix (resolve_mix), the runner salted
+// with `seed`. A mix that stages no senders (baseline, or no specs) builds
+// no fleet: each spec gets an empty report carrying only its name and
+// version.
+std::vector<ScenarioReport> run_scenarios(
+    const std::vector<ScenarioSpec>& specs, double scale, std::uint64_t seed);
 
 }  // namespace spfail::scenario

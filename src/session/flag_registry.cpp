@@ -24,12 +24,6 @@ constexpr FlagDef kFlags[] = {
      [](ScanConfig& c, std::string_view, const char* text) {
        c.scenario = text;
      }},
-    {"--scenario-rounds", "SPFAIL_SCENARIO_ROUNDS", "N", "-1 (study rounds)",
-     "longitudinal re-measurement rounds per scenario outcome table; "
-     "-1 mirrors the study's round count, 0 keeps the initial table only",
-     [](ScanConfig& c, std::string_view what, const char* text) {
-       c.scenario_rounds = parse_int(what, text);
-     }},
     {"--threads", nullptr, "N", "0 (auto)",
      "scan worker threads; 0 defers to SPFAIL_THREADS / hardware",
      [](ScanConfig& c, std::string_view what, const char* text) {
@@ -69,11 +63,6 @@ constexpr FlagDef kFlags[] = {
      "add the opt-in wall-clock lane to the metrics files",
      [](ScanConfig& c, std::string_view what, const char* text) {
        c.metrics_wall = switch_on(what, text);
-     }},
-    {"--checkpoint-strings", "SPFAIL_CHECKPOINT_STRINGS", nullptr, "off",
-     "embed the fleet intern table in checkpoints as an integrity section",
-     [](ScanConfig& c, std::string_view what, const char* text) {
-       c.checkpoint_strings = switch_on(what, text);
      }},
     {"--checkpoint", nullptr, "PATH", "(off)",
      "write round-boundary study checkpoints to PATH",

@@ -41,10 +41,6 @@ void ScanConfig::validate() const {
         "--metrics-wall requires --metrics (there is nowhere to write the "
         "wall-clock lane)");
   }
-  if (scenario_rounds < -1) {
-    throw ScanConfigError("--scenario-rounds must be >= -1, got " +
-                          std::to_string(scenario_rounds));
-  }
   if (!scenario.empty()) {
     try {
       scenario::parse_scenario_list(scenario);

@@ -34,13 +34,6 @@ struct ScanConfig {
   // measured after the scan. Empty = the plain paper population.
   // SPFAIL_SCENARIO / --scenario.
   std::string scenario;
-  // Longitudinal re-measurement rounds per scenario outcome table
-  // (DESIGN.md §17): each staged spec's flows replay once per round over the
-  // same persistent receiver fleet, so the report carries a per-round
-  // FlowTally series (greylist warm-up, DMARC pct= drift) instead of just
-  // the initial state. -1 mirrors the study's round count; 0 keeps the
-  // initial table only. SPFAIL_SCENARIO_ROUNDS / --scenario-rounds.
-  int scenario_rounds = -1;
 
   // Scan engine.
   int threads = 0;  // 0 = SPFAIL_THREADS / hardware; --threads
@@ -64,12 +57,6 @@ struct ScanConfig {
   // Checkpoint/resume (DESIGN.md §11).
   std::string checkpoint_path;  // --checkpoint; empty = no checkpoints
   int checkpoint_every = 1;     // --checkpoint-every: round-boundary cadence
-  // Embed the fleet's intern table in each checkpoint (DESIGN.md §14): an
-  // optional integrity section the restoring side compares against its
-  // rebuilt fleet, catching seed/scale mismatches before replay diverges.
-  // Off by default — absent-section snapshots are byte-identical to older
-  // writers. SPFAIL_CHECKPOINT_STRINGS / --checkpoint-strings.
-  bool checkpoint_strings = false;
   std::string resume_path;      // --resume; empty = fresh run
   // --halt-after-rounds: stop after N longitudinal rounds, writing a final
   // checkpoint (a deterministic stand-in for killing the process mid-study).

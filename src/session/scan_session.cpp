@@ -45,36 +45,9 @@ const std::vector<scenario::ScenarioSpec>& ScanSession::scenarios() {
 }
 
 const std::vector<scenario::ScenarioReport>& ScanSession::scenario_reports() {
-  if (scenario_reports_.has_value()) return *scenario_reports_;
-  scenario_reports_.emplace();
-
-  const population::PolicyMix mix = scenario::resolve_mix(scenarios());
-  // A mix that stages nothing (baseline, or no --scenario) measures nothing:
-  // report zero flows per spec without paying for a second fleet.
-  std::unique_ptr<population::Fleet> staged;
-  if (mix.stages_senders()) {
-    population::FleetConfig fleet_config;
-    fleet_config.scale = config_.scale;
-    fleet_config.seed = config_.fleet_seed;
-    fleet_config.mix = mix;
-    staged = std::make_unique<population::Fleet>(fleet_config);
-  }
-
-  scenario::RunnerOptions options;
-  options.seed = config_.fleet_seed;
-  options.rounds = config_.scenario_rounds < 0
-                       ? longitudinal::Study::standard_round_count()
-                       : static_cast<std::size_t>(config_.scenario_rounds);
-  for (const scenario::ScenarioSpec& spec : scenarios()) {
-    if (staged) {
-      scenario_reports_->push_back(
-          scenario::run_scenario(*staged, spec, options));
-    } else {
-      scenario::ScenarioReport report;
-      report.name = spec.name;
-      report.version = spec.version;
-      scenario_reports_->push_back(std::move(report));
-    }
+  if (!scenario_reports_.has_value()) {
+    scenario_reports_ = scenario::run_scenarios(scenarios(), config_.scale,
+                                                config_.fleet_seed);
   }
   return *scenario_reports_;
 }
@@ -106,14 +79,17 @@ void ScanSession::write_metrics_files() {
   }
 }
 
-void ScanSession::check_snapshot_strings(const snapshot::StudySnapshot& snap) {
-  if (!snap.has_strings) return;
-  if (!(snap.strings == fleet().strings())) {
-    throw snapshot::SnapshotError(
-        "snapshot intern table does not match the rebuilt fleet's (the "
-        "population this process generated differs from the one the "
-        "checkpoint was taken over)");
-  }
+snapshot::SnapshotMeta ScanSession::campaign_meta() {
+  snapshot::SnapshotMeta meta;
+  meta.kind = snapshot::SnapshotKind::Campaign;
+  meta.fleet_seed = config_.fleet_seed;
+  meta.scale = config_.scale;
+  meta.study_seed = config_.study_seed;
+  meta.fault_seed = config_.faults.seed;
+  meta.fault_rate = config_.faults.rate;
+  meta.tracing = config_.tracing();
+  meta.strings_digest = fleet().strings().digest();
+  return meta;
 }
 
 void ScanSession::discard_orphan_checkpoint() {
@@ -128,10 +104,6 @@ void ScanSession::write_checkpoint(const longitudinal::Study& study,
                                    const longitudinal::Study::State& state) {
   snapshot::StudySnapshot snap = study.capture(state);
   snap.metric_lines = metric_lines_;
-  if (config_.checkpoint_strings) {
-    snap.has_strings = true;
-    snap.strings = fleet().strings();
-  }
   snapshot::save_atomically(config_.checkpoint_path, snap.encode());
   std::cerr << "checkpoint: wrote " << config_.checkpoint_path << " (round "
             << snap.rounds_done << "/" << study.total_rounds() << ")\n";
@@ -147,22 +119,7 @@ const scan::CampaignReport& ScanSession::initial() {
 
   if (!config_.resume_path.empty()) {
     const snapshot::StudySnapshot snap = load_snapshot(config_.resume_path);
-    if (snap.meta.kind != snapshot::SnapshotKind::Campaign) {
-      throw snapshot::SnapshotError(
-          "'" + config_.resume_path + "' is a " + to_string(snap.meta.kind) +
-          " snapshot; an initial-only run resumes campaign snapshots");
-    }
-    if (snap.meta.fleet_seed != config_.fleet_seed ||
-        snap.meta.scale != config_.scale ||
-        snap.meta.fault_seed != config_.faults.seed ||
-        snap.meta.fault_rate != config_.faults.rate ||
-        snap.meta.tracing != config_.tracing()) {
-      throw snapshot::SnapshotError(
-          "campaign snapshot '" + config_.resume_path +
-          "' was taken under a different configuration (seed/scale/faults/"
-          "tracing must match)");
-    }
-    check_snapshot_strings(snap);
+    snapshot::check_meta(snap.meta, campaign_meta());
     fleet().clock().advance_to(snap.clock_now);
     if (config_.tracing()) {
       trace_.clear();
@@ -200,12 +157,7 @@ const scan::CampaignReport& ScanSession::initial() {
 
   if (!config_.checkpoint_path.empty()) {
     snapshot::StudySnapshot snap;
-    snap.meta.kind = snapshot::SnapshotKind::Campaign;
-    snap.meta.fleet_seed = config_.fleet_seed;
-    snap.meta.scale = config_.scale;
-    snap.meta.fault_seed = config_.faults.seed;
-    snap.meta.fault_rate = config_.faults.rate;
-    snap.meta.tracing = config_.tracing();
+    snap.meta = campaign_meta();
     snap.clock_now = fleet().clock().now();
     snap.initial = initial_;
     snap.degradation = initial_->report().degradation;
@@ -214,10 +166,6 @@ const scan::CampaignReport& ScanSession::initial() {
       snap.has_metrics = true;
       snap.metrics = metrics_;
       snap.metric_lines = metric_lines_;
-    }
-    if (config_.checkpoint_strings) {
-      snap.has_strings = true;
-      snap.strings = fleet().strings();
     }
     snapshot::save_atomically(config_.checkpoint_path, snap.encode());
     std::cerr << "checkpoint: wrote " << config_.checkpoint_path
@@ -240,7 +188,6 @@ const longitudinal::StudyReport* ScanSession::study() {
     if (config_.metrics()) record_metric_line("initial");
   } else {
     const snapshot::StudySnapshot snap = load_snapshot(config_.resume_path);
-    check_snapshot_strings(snap);
     state = study.restore(snap);
     // restore() reloaded the registry; the rendered lines the halted run had
     // already emitted come back verbatim so the stream continues seamlessly.

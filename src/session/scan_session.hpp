@@ -49,13 +49,11 @@ class ScanSession {
   // The parsed --scenario specs (empty without --scenario).
   const std::vector<scenario::ScenarioSpec>& scenarios();
 
-  // One measured outcome table per configured spec (cached). The runner
-  // drives its flows over a dedicated fleet built fresh from the same
-  // scale/seed/mix — a pure function of the config, so the reports are
-  // bit-identical across thread counts, schedulers, and halt/resume, and
-  // independent of whatever host state the scan built up.
-  // Baseline specs (and a mix that stages nothing) yield all-zero reports
-  // without building the extra fleet.
+  // One measured outcome table per configured spec (cached;
+  // scenario::run_scenarios over the config's scale and fleet seed) — a pure
+  // function of the config, so the reports are bit-identical across thread
+  // counts, schedulers, and halt/resume, and independent of whatever host
+  // state the scan built up.
   const std::vector<scenario::ScenarioReport>& scenario_reports();
 
   // The session-owned wire trace; nullptr when tracing is off.
@@ -107,9 +105,9 @@ class ScanSession {
 
  private:
   longitudinal::StudyConfig study_config();
-  // Refuses a resume whose embedded intern table (when present) differs from
-  // the rebuilt fleet's — a whole-population fingerprint check (§14).
-  void check_snapshot_strings(const snapshot::StudySnapshot& snap);
+  // The meta block of a Campaign-kind snapshot of this configuration: what
+  // initial() stamps when it checkpoints and checks when it resumes.
+  snapshot::SnapshotMeta campaign_meta();
   // Removes an orphaned checkpoint .tmp a killed writer left behind.
   void discard_orphan_checkpoint();
   void write_checkpoint(const longitudinal::Study& study,

@@ -38,15 +38,6 @@ std::set<spfvuln::SpfBehavior> get_behaviors(Reader& r) {
 
 }  // namespace
 
-std::uint64_t payload_checksum(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 void put_address(Writer& w, const util::IpAddress& address) {
   w.u8(encode_enum(address.family()));
   for (const std::uint8_t byte : address.bytes()) w.u8(byte);

@@ -4,11 +4,8 @@
 // per-address outcomes, degradation counters, whole campaign reports, wire
 // frames, host residue) against snapshot::Writer/Reader. They live apart
 // from snapshot.cpp because the study's checkpoint capture
-// (capture_host_state) and the service state file (payload_checksum) use
-// them too.
+// (capture_host_state) uses them too.
 #pragma once
-
-#include <string_view>
 
 #include "faults/degradation.hpp"
 #include "net/frame.hpp"
@@ -22,10 +19,6 @@ class MailHost;
 }
 
 namespace spfail::snapshot {
-
-// FNV-1a 64 over encoded payload bytes — the integrity check every container
-// (snapshot file, service state) appends to its payload.
-std::uint64_t payload_checksum(std::string_view bytes);
 
 void put_address(Writer& w, const util::IpAddress& address);
 util::IpAddress get_address(Reader& r);

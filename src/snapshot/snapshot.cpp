@@ -4,20 +4,13 @@
 #include <fstream>
 #include <string_view>
 
+#include "snapshot/container.hpp"
 #include "snapshot/enums.hpp"
 #include "snapshot/fields.hpp"
 
 namespace spfail::snapshot {
 
 namespace {
-
-// Guards the optional trailing metrics section: any other first byte after
-// the trace frames means a corrupt or foreign tail, not a missing feature.
-constexpr std::uint8_t kMetricsMarker = 0x4D;  // 'M'
-// Guards the optional fleet intern-table section. Ordering is fixed:
-// metrics (if any) first, then strings — each optional section appends
-// after every older one so absent-section snapshots keep their bytes.
-constexpr std::uint8_t kStringsMarker = 0x49;  // 'I'
 
 SnapshotKind decode_kind(std::uint8_t v) {
   switch (v) {
@@ -39,6 +32,45 @@ std::string to_string(SnapshotKind kind) {
       return "study";
   }
   return "unknown";
+}
+
+void check_meta(const SnapshotMeta& got, const SnapshotMeta& want) {
+  const auto mismatch = [](const std::string& what, const std::string& got,
+                           const std::string& want) {
+    throw SnapshotError("meta mismatch: snapshot " + what + " is " + got +
+                        ", this run expects " + want);
+  };
+  const auto on_off = [](bool v) { return std::string(v ? "on" : "off"); };
+  if (got.kind != want.kind) {
+    mismatch("kind", to_string(got.kind), to_string(want.kind));
+  }
+  if (got.fleet_seed != want.fleet_seed) {
+    mismatch("fleet seed", std::to_string(got.fleet_seed),
+             std::to_string(want.fleet_seed));
+  }
+  if (got.scale != want.scale) {
+    mismatch("scale", std::to_string(got.scale), std::to_string(want.scale));
+  }
+  if (got.study_seed != want.study_seed) {
+    mismatch("study seed", std::to_string(got.study_seed),
+             std::to_string(want.study_seed));
+  }
+  if (got.fault_seed != want.fault_seed) {
+    mismatch("fault seed", std::to_string(got.fault_seed),
+             std::to_string(want.fault_seed));
+  }
+  if (got.fault_rate != want.fault_rate) {
+    mismatch("fault rate", std::to_string(got.fault_rate),
+             std::to_string(want.fault_rate));
+  }
+  if (got.tracing != want.tracing) {
+    mismatch("tracing", on_off(got.tracing), on_off(want.tracing));
+  }
+  if (got.strings_digest != want.strings_digest) {
+    mismatch("fleet strings digest", std::to_string(got.strings_digest),
+             std::to_string(want.strings_digest) +
+                 " (this process generated a different population)");
+  }
 }
 
 std::string_view FrozenReport::encoded() const {
@@ -79,23 +111,18 @@ std::string StudySnapshot::encode() const {
   for (const auto& host : hosts) put_host_state(tail, host);
   tail.u64(trace.size());
   for (const auto& frame : trace) put_frame(tail, frame);
+  tail.boolean(has_metrics);
   if (has_metrics) {
-    tail.u8(kMetricsMarker);
     metrics.encode(tail);
     tail.u64(metric_lines.size());
     for (const auto& line : metric_lines) tail.str(line);
-  }
-  if (has_strings) {
-    tail.u8(kStringsMarker);
-    strings.encode(tail);
   }
 
   static const FrozenReport kNoReport{scan::CampaignReport{}};
   const std::string_view report = (initial ? *initial : kNoReport).encoded();
 
   Writer out;
-  for (const char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
-  out.u32(kSnapshotVersion);
+  const std::size_t slot = begin_file(out, kSnapshotFile);
   out.u8(static_cast<std::uint8_t>(meta.kind));
   out.u64(meta.fleet_seed);
   out.f64(meta.scale);
@@ -103,7 +130,7 @@ std::string StudySnapshot::encode() const {
   out.u64(meta.fault_seed);
   out.f64(meta.fault_rate);
   out.boolean(meta.tracing);
-  const std::size_t length_at = out.open_length();
+  out.u64(meta.strings_digest);
   out.u64(rounds_done);
   out.i64(clock_now);
   for (const std::uint64_t word : loss_rng) out.u64(word);
@@ -111,44 +138,21 @@ std::string StudySnapshot::encode() const {
   out.reserve(out.bytes().size() + report.size() + tail.bytes().size() + 8);
   out.raw(report);
   out.raw(tail.bytes());
-  out.close_length(length_at);
-  const std::string_view payload =
-      std::string_view(out.bytes()).substr(length_at + 4);
-  out.u64(payload_checksum(payload));
+  end_file(out, slot);
   return out.take();
 }
 
 StudySnapshot StudySnapshot::decode(std::string_view bytes) {
-  Reader r(bytes);
-  for (const char expected : kMagic) {
-    if (r.u8() != static_cast<std::uint8_t>(expected)) {
-      throw SnapshotError("bad magic (not a spfail snapshot)");
-    }
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kSnapshotVersion) {
-    throw SnapshotError("unsupported format version " +
-                        std::to_string(version) + " (this build reads " +
-                        std::to_string(kSnapshotVersion) + ")");
-  }
-
+  Reader payload(open_file(bytes, kSnapshotFile));
   StudySnapshot snap;
-  snap.meta.kind = decode_kind(r.u8());
-  snap.meta.fleet_seed = r.u64();
-  snap.meta.scale = r.f64();
-  snap.meta.study_seed = r.u64();
-  snap.meta.fault_seed = r.u64();
-  snap.meta.fault_rate = r.f64();
-  snap.meta.tracing = r.boolean();
-
-  const std::string payload_bytes = r.str();
-  const std::uint64_t checksum = r.u64();
-  r.expect_done();
-  if (checksum != payload_checksum(payload_bytes)) {
-    throw SnapshotError("payload checksum mismatch (corrupt snapshot)");
-  }
-
-  Reader payload(payload_bytes);
+  snap.meta.kind = decode_kind(payload.u8());
+  snap.meta.fleet_seed = payload.u64();
+  snap.meta.scale = payload.f64();
+  snap.meta.study_seed = payload.u64();
+  snap.meta.fault_seed = payload.u64();
+  snap.meta.fault_rate = payload.f64();
+  snap.meta.tracing = payload.boolean();
+  snap.meta.strings_digest = payload.u64();
   snap.rounds_done = payload.u64();
   snap.clock_now = payload.i64();
   for (auto& word : snap.loss_rng) word = payload.u64();
@@ -188,25 +192,13 @@ StudySnapshot StudySnapshot::decode(std::string_view bytes) {
   for (std::uint64_t i = 0; i < frames; ++i) {
     snap.trace.push_back(get_frame(payload));
   }
-  // Optional trailing sections, in fixed order: metrics, then strings. Each
-  // may be absent; anything else after the trace is a corrupt tail.
-  if (!payload.done()) {
-    std::uint8_t marker = payload.u8();
-    if (marker == kMetricsMarker) {
-      snap.has_metrics = true;
-      snap.metrics = obs::Registry::decode(payload);
-      const std::uint64_t lines = payload.u64();
-      for (std::uint64_t i = 0; i < lines; ++i) {
-        snap.metric_lines.push_back(payload.str());
-      }
-      if (payload.done()) return snap;
-      marker = payload.u8();
+  snap.has_metrics = payload.boolean();
+  if (snap.has_metrics) {
+    snap.metrics = obs::Registry::decode(payload);
+    const std::uint64_t lines = payload.u64();
+    for (std::uint64_t i = 0; i < lines; ++i) {
+      snap.metric_lines.push_back(payload.str());
     }
-    if (marker != kStringsMarker) {
-      throw SnapshotError("trailing bytes are not an optional section");
-    }
-    snap.has_strings = true;
-    snap.strings = util::Interner::decode(payload);
   }
   payload.expect_done();
   return snap;

@@ -13,12 +13,12 @@
 // traces, and degradation tables come out byte-identical to an uninterrupted
 // run, at any thread count.
 //
-// Layout: magic, format version, meta block, then a u32-length-prefixed
-// payload followed by an fnv1a-64 checksum of the payload bytes (the meta
-// block is checked field by field on restore). Decoding rejects a wrong magic,
-// any version other than kSnapshotVersion (forward compatibility is refusal,
-// not guessing), a checksum mismatch, truncation, trailing bytes, and any
-// unmapped enum byte (snapshot/enums.hpp).
+// The file is one container body (snapshot/container.hpp): the meta block,
+// then the loop-carried state, then the metrics block behind a presence
+// byte — all of it under the container's checksum. Decoding rejects
+// whatever the container rejects (wrong magic, any version but the current
+// one, a bad length or checksum), trailing bytes, and any unmapped enum byte
+// (snapshot/enums.hpp).
 #pragma once
 
 #include <array>
@@ -37,13 +37,9 @@
 #include "scan/campaign.hpp"
 #include "snapshot/codec.hpp"
 #include "util/clock.hpp"
-#include "util/intern.hpp"
 #include "util/ip.hpp"
 
 namespace spfail::snapshot {
-
-inline constexpr char kMagic[8] = {'S', 'P', 'F', 'S', 'N', 'A', 'P', '\0'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 // What kind of run the snapshot continues.
 enum class SnapshotKind : std::uint8_t {
@@ -65,9 +61,17 @@ struct SnapshotMeta {
   std::uint64_t fault_seed = 0;
   double fault_rate = 0.0;
   bool tracing = false;
+  // Interner::digest() of the fleet's intern table (DESIGN.md §14): a
+  // whole-population fingerprint that catches a generator drift the seeds
+  // and scale cannot, before replay silently diverges.
+  std::uint64_t strings_digest = 0;
 
   friend bool operator==(const SnapshotMeta&, const SnapshotMeta&) = default;
 };
+
+// Refuses a snapshot taken under another configuration: throws SnapshotError
+// naming the first field of `got` that differs from `want`, kind first.
+void check_meta(const SnapshotMeta& got, const SnapshotMeta& want);
 
 // The study's initial campaign report, frozen when the campaign returns. It
 // never changes after begin(), so one immutable object is shared — never
@@ -147,23 +151,11 @@ struct StudySnapshot {
   // Deterministic metrics state (DESIGN.md §12; present exactly when the
   // run had metrics enabled): the merged master registry plus the per-round
   // JSONL snapshot lines already emitted, so a resumed run re-emits a
-  // byte-identical metric stream. Encoded as an optional trailing payload
-  // section behind a marker byte — a metrics-off snapshot's bytes are
-  // unchanged from before the obs subsystem existed, keeping checkpoint
-  // digests stable.
+  // byte-identical metric stream. Encoded last, behind a presence byte; a
+  // metrics-off snapshot encodes neither field, whatever they hold.
   bool has_metrics = false;
   obs::Registry metrics;
   std::vector<std::string> metric_lines;
-
-  // Fleet intern table (DESIGN.md §14; present exactly when the writer ran
-  // with --checkpoint-strings): the distinct domain/TLD/provider strings in
-  // Symbol order. Restore compares it against the rebuilt fleet's table and
-  // refuses a mismatch — a cheap whole-population fingerprint that catches a
-  // seed or generator drift before replay silently diverges. Encoded as a
-  // second optional marker section after the metrics section, so snapshots
-  // without it are byte-identical to older writers.
-  bool has_strings = false;
-  util::Interner strings;
 
   std::string encode() const;
   static StudySnapshot decode(std::string_view bytes);

@@ -5,8 +5,10 @@
 // include chains) was re-parsed and re-stored once per host. The shared cache
 // parses each distinct text exactly once per fleet and hands every evaluator
 // on every worker thread the same immutable Entry — a ConcurrentTable keyed
-// by fnv1a of the record text, with the full-text verify + salted re-probe
-// pattern from util::SyncInterner, since texts are wider than 64-bit keys.
+// by fnv1a of the record text. Texts are wider than 64-bit keys, so a hit
+// verifies the full text and a mismatch (a true 64-bit collision) re-probes
+// under a salted key, up to kMaxSalt times — the wide-key pattern the
+// ConcurrentTable header asks of its callers.
 //
 // Admission is bounded: a new text is inserted only while the table is
 // within its half-load bound (size() < capacity() / 2). Past that, lookup()

@@ -64,8 +64,6 @@ JobSpec parse_submit(std::size_t line_no,
       spec.threads = session::parse_int(key, value);
     } else if (key == "scenario") {
       spec.scenario = value;
-    } else if (key == "scenario-rounds") {
-      spec.scenario_rounds = session::parse_int(key, value);
     } else if (key == "fault-rate") {
       spec.fault_rate = session::parse_double(key, value);
     } else if (key == "fault-seed") {

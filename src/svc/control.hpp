@@ -6,8 +6,8 @@
 //
 //   submit <id> [key value]...   queue a job (keys mirror the scan flags:
 //                                scale, seed, study-seed, threads, scenario,
-//                                scenario-rounds, fault-rate, fault-seed,
-//                                priority, recur, runs, nets)
+//                                fault-rate, fault-seed, priority, recur,
+//                                runs, nets)
 //   status                       write <dir>/status.txt atomically
 //   drain                        finish queued/running jobs, then exit
 //   at <tick> <command...>       defer a command until the given tick

@@ -31,7 +31,6 @@ session::ScanConfig JobSpec::to_scan_config() const {
   config.study_seed = study_seed;
   config.threads = threads;
   config.scenario = scenario;
-  config.scenario_rounds = scenario_rounds;
   config.faults.rate = fault_rate;
   config.faults.seed = fault_seed;
   return config;
@@ -62,7 +61,6 @@ void JobSpec::encode(snapshot::Writer& w) const {
   w.u64(study_seed);
   w.i64(threads);
   w.str(scenario);
-  w.i64(scenario_rounds);
   w.f64(fault_rate);
   w.u64(fault_seed);
   w.i64(priority);
@@ -80,7 +78,6 @@ JobSpec JobSpec::decode(snapshot::Reader& r) {
   spec.study_seed = r.u64();
   spec.threads = static_cast<int>(r.i64());
   spec.scenario = r.str();
-  spec.scenario_rounds = static_cast<int>(r.i64());
   spec.fault_rate = r.f64();
   spec.fault_seed = r.u64();
   spec.priority = static_cast<int>(r.i64());
@@ -213,32 +210,15 @@ std::string Job::finish_report() {
   // Scenario outcome blocks ride the same report: a pure function of the
   // spec (the runner builds its own staged fleet), so interrupted and
   // uninterrupted services render identical bytes.
-  const session::ScanConfig scan = spec_.to_scan_config();
-  if (!scan.scenario.empty()) {
-    const std::vector<scenario::ScenarioSpec> specs =
-        scenario::parse_scenario_list(scan.scenario);
-    const population::PolicyMix mix = scenario::resolve_mix(specs);
-    std::unique_ptr<population::Fleet> staged;
-    if (mix.stages_senders()) {
-      population::FleetConfig fleet_config;
-      fleet_config.scale = scan.scale;
-      fleet_config.seed = scan.fleet_seed;
-      fleet_config.mix = mix;
-      staged = std::make_unique<population::Fleet>(fleet_config);
-    }
-    scenario::RunnerOptions options;
-    options.seed = scan.fleet_seed;
-    options.rounds = scan.scenario_rounds < 0
-                         ? longitudinal::Study::standard_round_count()
-                         : static_cast<std::size_t>(scan.scenario_rounds);
-    for (const scenario::ScenarioSpec& spec : specs) {
-      scenario::ScenarioReport sr;
-      if (staged) sr = scenario::run_scenario(*staged, spec, options);
-      out << "scenario " << spec.name << " staged " << sr.domains_staged
-          << " spoof-delivered " << sr.spoof.delivered << "/" << sr.spoof.flows
-          << " legit-rejected " << sr.legit.rejected << "/" << sr.legit.flows
-          << " rounds " << sr.rounds.size() << "\n";
-    }
+  const std::vector<scenario::ScenarioSpec> specs =
+      spec_.scenario.empty() ? std::vector<scenario::ScenarioSpec>{}
+                             : scenario::parse_scenario_list(spec_.scenario);
+  for (const scenario::ScenarioReport& sr :
+       scenario::run_scenarios(specs, spec_.scale, spec_.seed)) {
+    out << "scenario " << sr.name << " staged " << sr.domains_staged
+        << " spoof-delivered " << sr.spoof.delivered << "/" << sr.spoof.flows
+        << " legit-rejected " << sr.legit.rejected << "/" << sr.legit.flows
+        << "\n";
   }
 
   fleet_.reset();

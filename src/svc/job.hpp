@@ -54,7 +54,6 @@ struct JobSpec {
   std::uint64_t study_seed = 20211011;
   int threads = 1;
   std::string scenario;             // comma-separated ScenarioSpec names
-  int scenario_rounds = 0;          // per-round outcome series depth
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 0xFA17ULL;
   int priority = 0;                 // higher admits first; ties by submit seq
@@ -78,7 +77,7 @@ struct JobSpec {
   // prefixes of an empty id, an empty scenario and an empty nets list.
   // Decoders bound element counts read from a file with it.
   static constexpr std::size_t kMinEncodedBytes =
-      4 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4;
+      4 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 4;
 
   void encode(snapshot::Writer& w) const;
   // Throws snapshot::SnapshotError on malformed bytes (including a nets

@@ -12,7 +12,7 @@
 
 #include "obs/export.hpp"
 #include "session/flag_parse.hpp"
-#include "snapshot/fields.hpp"
+#include "snapshot/container.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace spfail::svc {
@@ -25,9 +25,6 @@ using session::parse_u64;
 // Thrown by the kill hook, caught by run(): the loop stops with no further
 // side effects, exactly as a SIGKILL at that syscall boundary would.
 struct KilledSignal {};
-
-constexpr char kMagic[8] = {'S', 'P', 'F', 'S', 'V', 'C', '0', '1'};
-constexpr std::uint16_t kVersion = 1;
 
 constexpr SvcFlagDef kSvcFlags[] = {
     {"--dir", "SPFAIL_SVC_DIR", "DIR", "svc-state",
@@ -488,73 +485,45 @@ void ServiceLoop::update_gauges() {
 }
 
 void ServiceLoop::save_state() const {
-  snapshot::Writer payload;
+  snapshot::Writer file;
+  const std::size_t slot =
+      snapshot::begin_file(file, snapshot::kSvcStateFile);
   // The state file records *completed* ticks: the tick being executed when
   // this save runs is complete once the file hits the disk, so a restart
   // resumes at tick_ + 1.
-  payload.u64(tick_ + 1);
-  payload.u64(seq_counter_);
-  payload.u64(commands_consumed_);
-  payload.boolean(drain_);
-  payload.u32(static_cast<std::uint32_t>(jobs_.size()));
+  file.u64(tick_ + 1);
+  file.u64(seq_counter_);
+  file.u64(commands_consumed_);
+  file.boolean(drain_);
+  file.u32(static_cast<std::uint32_t>(jobs_.size()));
   for (const JobRecord& rec : jobs_) {
-    rec.spec.encode(payload);
-    payload.u64(rec.seq);
-    payload.u8(static_cast<std::uint8_t>(rec.phase));
-    payload.u32(rec.run);
-    payload.u64(rec.rounds_done);
-    payload.u64(rec.submit_tick);
-    payload.u64(rec.admit_tick);
-    payload.u64(rec.next_run_tick);
-    payload.i64(rec.defer_budget_left);
-    payload.u64(rec.deferrals);
-    payload.u64(rec.force_runs);
+    rec.spec.encode(file);
+    file.u64(rec.seq);
+    file.u8(static_cast<std::uint8_t>(rec.phase));
+    file.u32(rec.run);
+    file.u64(rec.rounds_done);
+    file.u64(rec.submit_tick);
+    file.u64(rec.admit_tick);
+    file.u64(rec.next_run_tick);
+    file.i64(rec.defer_budget_left);
+    file.u64(rec.deferrals);
+    file.u64(rec.force_runs);
   }
-  admission_.encode(payload);
-  registry_.encode(payload);
-  payload.u32(static_cast<std::uint32_t>(metric_lines_.size()));
-  for (const std::string& line : metric_lines_) payload.str(line);
-  payload.u32(static_cast<std::uint32_t>(events_.size()));
-  for (const std::string& line : events_) payload.str(line);
-
-  std::string file(kMagic, sizeof(kMagic));
-  snapshot::Writer head;
-  head.u16(kVersion);
-  file += head.bytes();
-  file += payload.bytes();
-  snapshot::Writer tail;
-  tail.u64(snapshot::payload_checksum(payload.bytes()));
-  file += tail.bytes();
-  snapshot::save_atomically(state_path(), file);
+  admission_.encode(file);
+  registry_.encode(file);
+  file.u32(static_cast<std::uint32_t>(metric_lines_.size()));
+  for (const std::string& line : metric_lines_) file.str(line);
+  file.u32(static_cast<std::uint32_t>(events_.size()));
+  for (const std::string& line : events_) file.str(line);
+  snapshot::end_file(file, slot);
+  snapshot::save_atomically(state_path(), file.bytes());
 }
 
 void ServiceLoop::restore_state() {
   snapshot::discard_partial(state_path());
   if (!std::filesystem::exists(state_path())) return;  // a fresh service
   const std::string bytes = snapshot::load_file(state_path());
-  constexpr std::size_t kOverhead = sizeof(kMagic) + 2 + 8;
-  if (bytes.size() < kOverhead) {
-    throw snapshot::SnapshotError("svc state truncated");
-  }
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) {
-    if (bytes[i] != kMagic[i]) {
-      throw snapshot::SnapshotError("bad magic (not an spfail svc state)");
-    }
-  }
-  snapshot::Reader head(
-      std::string_view(bytes).substr(sizeof(kMagic), 2));
-  if (head.u16() != kVersion) {
-    throw snapshot::SnapshotError("unsupported svc state version");
-  }
-  const std::string_view payload_bytes =
-      std::string_view(bytes).substr(sizeof(kMagic) + 2,
-                                     bytes.size() - kOverhead);
-  snapshot::Reader tail(std::string_view(bytes).substr(bytes.size() - 8));
-  if (tail.u64() != snapshot::payload_checksum(payload_bytes)) {
-    throw snapshot::SnapshotError("svc state checksum mismatch");
-  }
-
-  snapshot::Reader r(payload_bytes);
+  snapshot::Reader r(snapshot::open_file(bytes, snapshot::kSvcStateFile));
   tick_ = r.u64();
   seq_counter_ = r.u64();
   commands_consumed_ = r.u64();

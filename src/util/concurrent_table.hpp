@@ -26,7 +26,7 @@
 // in a reserved key sentinel (the per-/24 provider groups legitimately hash
 // to 0). Callers whose logical keys are wider than 64 bits (interned strings,
 // IPv6 addresses) must verify the full value after a hit and re-probe under a
-// salted key on mismatch; see util::SyncInterner for the pattern.
+// salted key on mismatch; spf::SharedRecordCache::lookup is the pattern.
 #pragma once
 
 #include <algorithm>

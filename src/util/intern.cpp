@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
+#include "util/rng.hpp"
+
 namespace spfail::util {
-
-namespace {
-
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string_view Interner::append(std::string_view text) {
   if (chunks_.empty() || chunks_.back().size() + text.size() > kChunkBytes) {
@@ -86,65 +75,17 @@ std::vector<Symbol> Interner::merge(const Interner& other) {
   return remap;
 }
 
-void Interner::encode(snapshot::Writer& w) const {
-  snapshot::Writer body;
-  body.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (Symbol id = 0; id < entries_.size(); ++id) body.str(view(id));
-  w.u32(static_cast<std::uint32_t>(body.bytes().size()));
-  w.u64(fnv1a(body.bytes()));
-  for (const char c : body.bytes()) w.u8(static_cast<std::uint8_t>(c));
-}
-
-Interner Interner::decode(snapshot::Reader& r) {
-  const std::uint32_t length = r.u32();
-  const std::uint64_t checksum = r.u64();
-  // The length is outside input: bound it by the bytes present before
-  // reserving for it.
-  if (length > r.remaining()) {
-    throw snapshot::SnapshotError("intern table body is truncated");
+std::uint64_t Interner::digest() const {
+  std::uint64_t h = fnv1a({});
+  for (Symbol id = 0; id < entries_.size(); ++id) {
+    const std::string_view text = view(id);
+    char length[4];
+    for (std::size_t i = 0; i < 4; ++i) {
+      length[i] = static_cast<char>((text.size() >> (8 * i)) & 0xFF);
+    }
+    h = fnv1a(text, fnv1a(std::string_view(length, 4), h));
   }
-  std::string body;
-  body.reserve(length);
-  for (std::uint32_t i = 0; i < length; ++i) {
-    body.push_back(static_cast<char>(r.u8()));
-  }
-  if (fnv1a(body) != checksum) {
-    throw snapshot::SnapshotError("intern table checksum mismatch");
-  }
-  snapshot::Reader body_reader(body);
-  const std::uint32_t count = body_reader.u32();
-  Interner interner;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    interner.intern(body_reader.str());
-  }
-  body_reader.expect_done();
-  if (interner.size() != count) {
-    throw snapshot::SnapshotError("intern table carries duplicate strings");
-  }
-  return interner;
-}
-
-Symbol SyncInterner::intern(std::string_view text) {
-  const std::uint64_t hash = fnv1a(text);
-  for (int salt = 0; salt <= kMaxSalt; ++salt) {
-    const std::uint64_t key =
-        hash + static_cast<std::uint64_t>(salt) * kSaltStep;
-    const auto found = table_.find_or_insert(key, [&](Slot& slot) {
-      // Pre-publication window: allocate the symbol, publish its string,
-      // and record the symbol in the slot. All of it becomes visible to
-      // losers via the table's release-store of Ready.
-      const std::uint32_t id =
-          next_symbol_.fetch_add(1, std::memory_order_acq_rel);
-      strings_[id].store(new std::string(text), std::memory_order_release);
-      slot.symbol = id;
-    });
-    const std::uint32_t id = found.payload->symbol;
-    if (found.inserted || view(id) == text) return id;
-    // A different string owns this key — a true 64-bit fnv1a collision.
-    // Re-probe under the next salted key.
-  }
-  throw TableFullError("intern salt chain exhausted for '" +
-                       std::string(text) + "'");
+  return h;
 }
 
 bool operator==(const Interner& a, const Interner& b) {

@@ -21,14 +21,10 @@
 // table itself rehashes, never the bytes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "snapshot/codec.hpp"
-#include "util/concurrent_table.hpp"
 
 namespace spfail::util {
 
@@ -69,11 +65,10 @@ class Interner {
   // independent of how work was sharded.
   std::vector<Symbol> merge(const Interner& other);
 
-  // Wire form (DESIGN.md §14): entry count, then each string u32
-  // length-prefixed in Symbol order, then an fnv1a-64 checksum over exactly
-  // those bytes. decode() rejects a checksum mismatch.
-  void encode(snapshot::Writer& w) const;
-  static Interner decode(snapshot::Reader& r);
+  // FNV-1a 64 over every string, u32-length-prefixed (little-endian), in
+  // Symbol order: a whole-table fingerprint that checkpoints carry in place
+  // of the table (DESIGN.md §14). Equal tables have equal digests.
+  std::uint64_t digest() const;
 
   // Table equality: same strings in the same Symbol order.
   friend bool operator==(const Interner& a, const Interner& b);
@@ -99,68 +94,6 @@ class Interner {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t distinct_bytes_ = 0;
-};
-
-// A lock-free interner for tables populated from worker threads, rebuilt on
-// ConcurrentTable (DESIGN.md §16; it used to take a mutex per call). Symbol
-// ids still depend on arrival order — anything that must be deterministic
-// resolves through the text, never through a SyncInterner id ordering.
-//
-// This is also the reference implementation of the wide-key pattern the
-// ConcurrentTable header points at: logical keys (strings) are wider than the
-// table's u64 keys, so a hit verifies the full text and a mismatch — a true
-// 64-bit fnv1a collision — re-probes under a salted key. The chain is bounded
-// (kMaxSalt); exhausting it raises TableFullError like any sizing bug.
-//
-// Fixed capacity, like the table underneath: `expected` bounds the distinct
-// strings. Callers size from a known upper bound; the scan core's fallback on
-// TableFullError is its serial path.
-class SyncInterner {
- public:
-  static constexpr std::size_t kDefaultExpected = 1 << 12;
-
-  explicit SyncInterner(std::size_t expected = kDefaultExpected)
-      : table_(expected), strings_(table_.capacity()) {}
-
-  SyncInterner(const SyncInterner&) = delete;
-  SyncInterner& operator=(const SyncInterner&) = delete;
-
-  ~SyncInterner() {
-    for (auto& slot : strings_) delete slot.load(std::memory_order_acquire);
-  }
-
-  // Returns the Symbol for `text`, inserting on first sight. Thread-safe and
-  // lock-free; concurrent callers with the same text converge on one Symbol.
-  Symbol intern(std::string_view text);
-
-  // The text of a Symbol previously returned by intern() on any thread.
-  // Views stay valid for the interner's lifetime (strings never move).
-  std::string_view view(Symbol id) const {
-    return *strings_[id].load(std::memory_order_acquire);
-  }
-
-  // Distinct strings interned so far (racing inserts may or may not count).
-  std::size_t size() const noexcept {
-    return next_symbol_.load(std::memory_order_acquire);
-  }
-
- private:
-  // Salt step for collision re-probes: odd, so successive salted keys stay
-  // distinct under the table's mixer.
-  static constexpr std::uint64_t kSaltStep = 0x9E3779B97F4A7C15ULL;
-  static constexpr int kMaxSalt = 4;
-
-  struct Slot {
-    // The symbol owning this (key, text) pair; written inside the table's
-    // pre-publication init window, readable once the slot is Ready.
-    std::uint32_t symbol = kInvalidSymbol;
-  };
-
-  ConcurrentTable<Slot> table_;
-  // Symbol -> heap string, released-published by the inserting thread. Sized
-  // to the table capacity: each table slot allocates at most one symbol.
-  std::vector<std::atomic<std::string*>> strings_;
-  std::atomic<std::uint32_t> next_symbol_{0};
 };
 
 }  // namespace spfail::util

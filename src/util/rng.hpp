@@ -108,9 +108,12 @@ class Rng {
   std::uint64_t state_[4]{};
 };
 
-// Stable 64-bit FNV-1a hash of a string, used for label-keyed stream forking.
-constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+// Stable 64-bit FNV-1a hash of a string, used for label-keyed stream forking
+// and as the checksum of every persisted file (snapshot/container.hpp). Pass
+// a previous result as `h` to continue hashing: fnv1a(b, fnv1a(a)) equals
+// fnv1a of a and b concatenated.
+constexpr std::uint64_t fnv1a(std::string_view s,
+                              std::uint64_t h = 0xcbf29ce484222325ULL) noexcept {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "report/tables.hpp"
@@ -175,6 +176,34 @@ TEST(CheckpointResume, RefusesMismatchedConfiguration) {
     longitudinal::Study mismatched(fresh, faulted_study_config());
     EXPECT_THROW(mismatched.restore(bad), snapshot::SnapshotError);
   }
+  // Meta fields the seeds cannot vouch for: refused by name.
+  const auto expect_refused = [&](const snapshot::StudySnapshot& bad,
+                                  const std::string& field) {
+    population::Fleet fresh(fleet_config);
+    longitudinal::Study resuming(fresh, faulted_study_config());
+    try {
+      resuming.restore(bad);
+      ADD_FAILURE() << "restore accepted a snapshot with another " << field;
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("snapshot " + field + " is"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  {
+    // Another population under the same seeds: the fleet strings digest.
+    snapshot::StudySnapshot bad = snap;
+    bad.meta.strings_digest ^= 1;
+    expect_refused(bad, "fleet strings digest");
+  }
+  {
+    // A campaign-kind snapshot offered to a study, checked before any
+    // other field.
+    snapshot::StudySnapshot bad = snap;
+    bad.meta.kind = snapshot::SnapshotKind::Campaign;
+    bad.meta.strings_digest ^= 1;
+    expect_refused(bad, "kind");
+  }
 }
 
 TEST(CheckpointResume, ScanSessionHaltWritesResumableCheckpoint) {
@@ -242,7 +271,7 @@ TEST(CheckpointResume, TerminationSignalCheckpointsAndResumesIdentically) {
 
 TEST(CheckpointResume, LazyFleetHaltResumeMatchesUninterruptedEagerRun) {
   // §14 end-to-end: a study over the streaming fleet halted mid-run and
-  // resumed (with the intern-table integrity section enabled) must deliver
+  // resumed (its fleet strings digest checked on resume) must deliver
   // the same bytes as an uninterrupted run over a fleet that held every host
   // resident — pinned as the fnv1a and length of that run's digest, captured
   // before the resident fleet was deleted.
@@ -256,7 +285,6 @@ TEST(CheckpointResume, LazyFleetHaltResumeMatchesUninterruptedEagerRun) {
 
   session::ScanConfig halting = base;
   halting.checkpoint_path = path;
-  halting.checkpoint_strings = true;
   halting.halt_after_rounds = 5;
   session::ScanSession first(halting);
   EXPECT_EQ(first.study(), nullptr);
@@ -350,7 +378,7 @@ TEST(ScanConfigArgs, ParsesTheFullFlagSet) {
       parse({"--scale", "0.25", "--seed", "7", "--threads", "3",
              "--initial-only", "--fault-rate", "0.5", "--fault-seed", "99",
              "--csv", "/tmp/csv", "--trace", "/tmp/t.jsonl",
-             "--checkpoint-strings", "--checkpoint", "/tmp/c.bin",
+             "--checkpoint", "/tmp/c.bin",
              "--checkpoint-every", "4", "--halt-after-rounds", "8", "--resume",
              "/tmp/r.bin"});
   EXPECT_EQ(config.scale, 0.25);
@@ -362,7 +390,6 @@ TEST(ScanConfigArgs, ParsesTheFullFlagSet) {
   EXPECT_EQ(config.csv_dir, "/tmp/csv");
   EXPECT_EQ(config.trace_path, "/tmp/t.jsonl");
   EXPECT_TRUE(config.tracing());
-  EXPECT_TRUE(config.checkpoint_strings);
   EXPECT_EQ(config.checkpoint_path, "/tmp/c.bin");
   EXPECT_EQ(config.checkpoint_every, 4);
   EXPECT_EQ(config.halt_after_rounds, 8);

@@ -148,7 +148,8 @@ TEST(EnumStrings, SnapshotKindCoversEveryEnumerator) {
 
 // encode_enum -> decode_* is the identity on every enumerator, wire bytes are
 // dense and distinct, and the first unmapped byte is rejected. The wire byte
-// values themselves are frozen at snapshot version 1 — these tests pin them.
+// values themselves are frozen (format version 2 kept version 1's) — these
+// tests pin them.
 template <typename Enum, typename Decode>
 void expect_wire_round_trip(const std::vector<Enum>& enumerators,
                             Decode decode) {

@@ -42,16 +42,21 @@ TEST(FlagRegistry, FlagsAndEnvVarsAreUniqueAndDocumented) {
   for (const char* flag :
        {"--scale", "--seed", "--scenario", "--threads", "--initial-only",
         "--fault-rate", "--fault-seed", "--csv", "--trace", "--metrics",
-        "--metrics-wall", "--checkpoint-strings", "--checkpoint",
-        "--checkpoint-every", "--resume", "--halt-after-rounds"}) {
+        "--metrics-wall", "--checkpoint", "--checkpoint-every", "--resume",
+        "--halt-after-rounds"}) {
     EXPECT_TRUE(flags.contains(flag)) << flag << " missing from registry";
   }
-  // The deleted scheduler and fleet-lane knobs stay deleted.
-  for (const char* flag : {"--sched", "--steal-mode", "--lazy-hosts"}) {
+  // The deleted scheduler, fleet-lane, scenario-replay and intern-section
+  // knobs stay deleted.
+  for (const char* flag : {"--sched", "--steal-mode", "--lazy-hosts",
+                           "--scenario-rounds", "--checkpoint-strings"}) {
     EXPECT_FALSE(flags.contains(flag)) << flag << " is back in the registry";
   }
-  EXPECT_FALSE(envs.contains("SPFAIL_SCHED"));
-  EXPECT_FALSE(envs.contains("SPFAIL_LAZY_HOSTS"));
+  for (const char* env : {"SPFAIL_SCHED", "SPFAIL_LAZY_HOSTS",
+                          "SPFAIL_SCENARIO_ROUNDS",
+                          "SPFAIL_CHECKPOINT_STRINGS"}) {
+    EXPECT_FALSE(envs.contains(env)) << env << " is back in the registry";
+  }
   // SPFAIL_THREADS and SPFAIL_STEAL are deliberately absent: the thread
   // pool resolves them itself, so the registry must not also consume them.
   EXPECT_FALSE(envs.contains("SPFAIL_THREADS"));

@@ -1,14 +1,13 @@
 // The §14 interning layer: Symbol assignment determinism, shard-order merge,
-// wire round-trips, the QueryLog qname dedupe built on it, the streaming
+// the table digest, the QueryLog qname dedupe built on it, the streaming
 // fleet's equivalence to the pinned output of the resident one it replaced,
-// and the optional snapshot strings section.
+// and the strings digest every checkpoint carries.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dns/query_log.hpp"
@@ -109,67 +108,17 @@ TEST(InternMerge, ContiguousShardFoldMatchesSerialOrder) {
   }
 }
 
-TEST(InternCodec, RoundTripPreservesOrderAndStrings) {
-  util::Interner interner;
-  interner.intern("a");
-  interner.intern("");  // empty string is a legal entry
-  interner.intern("domain.example.com");
-  snapshot::Writer w;
-  interner.encode(w);
-  snapshot::Reader r(w.bytes());
-  const util::Interner decoded = util::Interner::decode(r);
-  r.expect_done();
-  EXPECT_TRUE(decoded == interner);
-  EXPECT_EQ(decoded.view(2), "domain.example.com");
-}
-
-TEST(InternCodec, RejectsCorruptedBody) {
-  util::Interner interner;
-  interner.intern("checksummed-content");
-  snapshot::Writer w;
-  interner.encode(w);
-  std::string bytes(w.bytes());
-  bytes[bytes.size() / 2] ^= 0x01;
-  snapshot::Reader r(bytes);
-  EXPECT_THROW(util::Interner::decode(r), snapshot::SnapshotError);
-}
-
-TEST(InternCodec, RejectsDuplicateStrings) {
-  // Hand-build a body whose string list repeats an entry: decode must refuse
-  // it, because Symbol ids would silently shift for everything after it.
-  snapshot::Writer body;
-  body.u32(2);
-  body.str("dup");
-  body.str("dup");
-  std::uint64_t checksum = 1469598103934665603ULL;
-  for (const char c : body.bytes()) {
-    checksum ^= static_cast<std::uint8_t>(c);
-    checksum *= 1099511628211ULL;
-  }
-  snapshot::Writer w;
-  w.u32(static_cast<std::uint32_t>(body.bytes().size()));
-  w.u64(checksum);
-  for (const char c : body.bytes()) w.u8(static_cast<std::uint8_t>(c));
-  snapshot::Reader r(w.bytes());
-  EXPECT_THROW(util::Interner::decode(r), snapshot::SnapshotError);
-}
-
-TEST(InternSync, ConcurrentInternsConverge) {
-  util::SyncInterner interner;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&interner] {
-      for (int i = 0; i < 200; ++i) {
-        interner.intern("shared-" + std::to_string(i % 50));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(interner.size(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    const std::string text = "shared-" + std::to_string(i);
-    EXPECT_EQ(interner.view(interner.intern(text)), text);
-  }
+TEST(Intern, DigestFingerprintsStringsOrderAndBoundaries) {
+  const auto digest_of = [](std::initializer_list<const char*> texts) {
+    util::Interner interner;
+    for (const char* text : texts) interner.intern(text);
+    return interner.digest();
+  };
+  EXPECT_EQ(digest_of({"a", "bc"}), digest_of({"a", "bc"}));
+  EXPECT_NE(digest_of({"a", "bc"}), digest_of({"bc", "a"}));   // Symbol order
+  EXPECT_NE(digest_of({"a", "bc"}), digest_of({"ab", "c"}));   // boundaries
+  EXPECT_NE(digest_of({"a"}), digest_of({"a", ""}));           // an empty entry
+  EXPECT_EQ(util::Interner().digest(), util::fnv1a(""));
 }
 
 // ------------------------------------------------------------------ QueryLog
@@ -356,67 +305,7 @@ TEST(InternFleet, TargetSourceMatchesMaterialisedTargets) {
   }
 }
 
-// ------------------------------------------------- snapshot strings section
-
-snapshot::StudySnapshot tiny_snapshot() {
-  snapshot::StudySnapshot snap;
-  snap.meta.kind = snapshot::SnapshotKind::Campaign;
-  snap.meta.fleet_seed = 2021;
-  snap.meta.scale = 0.01;
-  snap.clock_now = 1234;
-  scan::CampaignReport initial;
-  initial.suite_label = "suite0";
-  snap.initial = snapshot::freeze(std::move(initial));
-  return snap;
-}
-
-TEST(SnapshotStrings, AbsentSectionKeepsBytesIdentical) {
-  const snapshot::StudySnapshot plain = tiny_snapshot();
-  const std::string before = plain.encode();
-
-  snapshot::StudySnapshot with = tiny_snapshot();
-  with.has_strings = true;
-  with.strings.intern("example.com");
-  with.strings.intern("example.org");
-  const std::string after = with.encode();
-
-  EXPECT_NE(before, after);
-  // A writer without the feature produces the exact pre-§14 byte stream.
-  EXPECT_EQ(plain.encode(), before);
-
-  const snapshot::StudySnapshot decoded_plain =
-      snapshot::StudySnapshot::decode(before);
-  EXPECT_FALSE(decoded_plain.has_strings);
-  const snapshot::StudySnapshot decoded_with =
-      snapshot::StudySnapshot::decode(after);
-  ASSERT_TRUE(decoded_with.has_strings);
-  EXPECT_TRUE(decoded_with.strings == with.strings);
-}
-
-TEST(SnapshotStrings, CoexistsWithMetricsSection) {
-  snapshot::StudySnapshot snap = tiny_snapshot();
-  snap.has_metrics = true;
-  snap.metrics.counter("probes") += 7;
-  snap.metric_lines.push_back("{\"phase\":\"initial\"}");
-  snap.has_strings = true;
-  snap.strings.intern("both-sections");
-  const snapshot::StudySnapshot decoded =
-      snapshot::StudySnapshot::decode(snap.encode());
-  ASSERT_TRUE(decoded.has_metrics);
-  ASSERT_TRUE(decoded.has_strings);
-  EXPECT_EQ(decoded.metric_lines, snap.metric_lines);
-  EXPECT_TRUE(decoded.strings == snap.strings);
-}
-
-TEST(SnapshotStrings, CorruptStringsPayloadRejected) {
-  snapshot::StudySnapshot snap = tiny_snapshot();
-  snap.has_strings = true;
-  snap.strings.intern("to-be-corrupted");
-  std::string bytes = snap.encode();
-  bytes[bytes.size() - 12] ^= 0x01;  // inside the strings payload
-  EXPECT_THROW(snapshot::StudySnapshot::decode(bytes),
-               snapshot::SnapshotError);
-}
+// ------------------------------------------------- snapshot strings digest
 
 TEST(SnapshotStrings, SessionVerifiesInternTableOnResume) {
   const std::string path = testing::TempDir() + "spfail_strings_ckpt.bin";
@@ -425,25 +314,23 @@ TEST(SnapshotStrings, SessionVerifiesInternTableOnResume) {
   config.scale = 0.004;
   config.initial_only = true;
   config.checkpoint_path = path;
-  config.checkpoint_strings = true;
   session::ScanSession writer(config);
   writer.initial();
 
-  // The matching fleet resumes fine and the snapshot really carries strings.
+  // Every checkpoint carries the fleet's table digest, and the matching
+  // fleet resumes fine.
   snapshot::StudySnapshot snap =
       snapshot::StudySnapshot::decode(snapshot::load_file(path));
-  ASSERT_TRUE(snap.has_strings);
-  EXPECT_GT(snap.strings.size(), 0u);
+  EXPECT_EQ(snap.meta.strings_digest, writer.fleet().strings().digest());
   session::ScanConfig resuming;
   resuming.scale = 0.004;
   resuming.initial_only = true;
   resuming.resume_path = path;
   EXPECT_NO_THROW(session::ScanSession(resuming).initial());
 
-  // Tamper with the embedded table (keeping the snapshot well-formed): the
-  // resuming session must refuse the population mismatch.
-  snap.strings = util::Interner();
-  snap.strings.intern("not-the-fleet's-table");
+  // Tamper with the digest (keeping the snapshot well-formed): the resuming
+  // session must refuse the population mismatch.
+  snap.meta.strings_digest ^= 1;
   snapshot::save_atomically(path, snap.encode());
   session::ScanSession rejecting(resuming);
   EXPECT_THROW(rejecting.initial(), snapshot::SnapshotError);

@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 
+#include "snapshot/container.hpp"
 #include "snapshot/fields.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
@@ -241,8 +242,8 @@ TEST(Snapshot, MetricsSectionRoundTripsWhenPresent) {
 
 TEST(Snapshot, DisabledMetricsLeaveTheWireFormatUntouched) {
   // A metrics-off snapshot must encode byte-identically no matter what the
-  // (unused) metric fields hold — the trailing section is absent, not
-  // zero-filled, so pre-metrics checkpoints and digests stay stable.
+  // (unused) metric fields hold — its presence byte says absent, and
+  // nothing of the block follows.
   const std::string baseline = sample_snapshot().encode();
   StudySnapshot off = sample_snapshot();
   off.metrics.counter("ghost") += 1;  // has_metrics stays false
@@ -254,7 +255,7 @@ TEST(Snapshot, DisabledMetricsLeaveTheWireFormatUntouched) {
   EXPECT_TRUE(decoded.metrics.empty());
   EXPECT_TRUE(decoded.metric_lines.empty());
 
-  // And the with-metrics form is strictly longer: the section really is an
+  // And the with-metrics form is strictly longer: the block really is an
   // appended tail, not a rewrite of earlier fields.
   StudySnapshot on = sample_snapshot();
   on.has_metrics = true;
@@ -266,8 +267,8 @@ TEST(Snapshot, RejectsCorruptMetricsSection) {
   snap.has_metrics = true;
   snap.metrics.counter("probe_attempts_total") += 1;
   std::string bytes = snap.encode();
-  // Flip a byte inside the trailing section (near the end of the payload,
-  // before the 8-byte checksum): the checksum rejects it.
+  // Flip a byte inside the metrics block (near the end of the body, before
+  // the 8-byte checksum): the checksum rejects it.
   bytes[bytes.size() - 12] ^= 0x20;
   EXPECT_THROW(StudySnapshot::decode(bytes), SnapshotError);
 }
@@ -280,8 +281,8 @@ TEST(Snapshot, RejectsBadMagic) {
 
 TEST(Snapshot, RejectsFutureFormatVersion) {
   std::string bytes = sample_snapshot().encode();
-  // The u32 version sits right after the 8-byte magic.
-  bytes[8] = static_cast<char>(kSnapshotVersion + 1);
+  // The u16 version sits right after the 8-byte magic.
+  bytes[8] = static_cast<char>(kFormatVersion + 1);
   try {
     StudySnapshot::decode(bytes);
     FAIL() << "future version must not decode";
@@ -292,7 +293,7 @@ TEST(Snapshot, RejectsFutureFormatVersion) {
 
 TEST(Snapshot, RejectsCorruptPayload) {
   std::string bytes = sample_snapshot().encode();
-  // Flip a byte deep inside the length-prefixed payload: the checksum check
+  // Flip a byte deep inside the length-prefixed body: the checksum check
   // must catch it before any field decoding is trusted.
   bytes[bytes.size() / 2] ^= 0x40;
   EXPECT_THROW(StudySnapshot::decode(bytes), SnapshotError);
@@ -329,15 +330,15 @@ TEST(Snapshot, LoadFileReportsMissingFile) {
   EXPECT_THROW(load_file("/nonexistent/spfail.snapshot"), SnapshotError);
 }
 
-// --- mutation lane: corrupt payloads reach the field decoders --------------
+// --- mutation lane: corrupt bodies reach the field decoders ----------------
 //
 // Every case must decode or throw SnapshotError; any other exception here,
 // or a sanitizer report in the asan_faults / ubsan_net lanes, is a decoder
 // bug. Mutating the file bytes alone would only ever exercise the checksum,
-// so each mutated payload is re-framed with a recomputed fnv1a trailer.
+// so each mutated body is re-framed through the container with a fresh
+// checksum. The body starts with the meta block, so the lanes mutate it too.
 
-// The sample snapshot with both optional trailing sections: metrics (0x4D)
-// and the intern table (0x49).
+// The sample snapshot with its optional metrics block.
 StudySnapshot sectioned_snapshot() {
   StudySnapshot snap = sample_snapshot();
   snap.has_metrics = true;
@@ -345,31 +346,22 @@ StudySnapshot sectioned_snapshot() {
   snap.metrics.gauge("study_round") = 3;
   snap.metrics.histogram("retry_backoff_sim_seconds").observe(480);
   snap.metric_lines = {"{\"phase\":\"initial\"}"};
-  snap.has_strings = true;
-  snap.strings.intern("example.org");
-  snap.strings.intern("org");
   return snap;
 }
 
-// An encoded snapshot split around its payload: the fixed header (magic 8,
-// version 4, kind 1, three u64 seeds, scale and fault rate as f64, tracing
-// 1) and the payload its u32 length prefix frames.
-struct Framed {
-  std::string header;
-  std::string payload;
-};
-
-Framed unframe(const std::string& bytes) {
-  constexpr std::size_t kHeaderBytes = 8 + 4 + 1 + 3 * 8 + 2 * 8 + 1;
-  Reader r(std::string_view(bytes).substr(kHeaderBytes));
-  return Framed{bytes.substr(0, kHeaderBytes), r.str()};
+// The container body of an encoded snapshot.
+std::string body_of(const std::string& bytes) {
+  return std::string(open_file(bytes, kSnapshotFile));
 }
 
-std::string reframe(const std::string& header, std::string_view payload) {
-  Writer tail;
-  tail.str(payload);
-  tail.u64(payload_checksum(payload));
-  return header + tail.bytes();
+// `body` framed as a snapshot file with a fresh checksum, so only the field
+// decoders can refuse it.
+std::string frame(std::string_view body) {
+  Writer w;
+  const std::size_t slot = begin_file(w, kSnapshotFile);
+  w.raw(body);
+  end_file(w, slot);
+  return w.take();
 }
 
 void expect_decodes_or_rejects(const std::string& bytes,
@@ -402,60 +394,58 @@ TEST(SnapshotCodec, RejectsDuplicateOrUnorderedOutcomeAddresses) {
   count.u64(2);
   put_outcome(lower, first);
   put_outcome(higher, second);
-  const Framed base = unframe(snap.encode());
+  const std::string body = body_of(snap.encode());
   const std::string ordered = count.bytes() + lower.bytes() + higher.bytes();
-  const std::size_t at = base.payload.find(ordered);
+  const std::size_t at = body.find(ordered);
   ASSERT_NE(at, std::string::npos);
-  ASSERT_NO_THROW(StudySnapshot::decode(reframe(base.header, base.payload)));
+  ASSERT_NO_THROW(StudySnapshot::decode(frame(body)));
 
   const std::pair<const char*, std::string> cases[] = {
       {"duplicate", count.bytes() + lower.bytes() + lower.bytes()},
       {"swapped", count.bytes() + higher.bytes() + lower.bytes()},
   };
   for (const auto& [name, outcomes] : cases) {
-    std::string payload = base.payload;
-    payload.replace(at, ordered.size(), outcomes);
-    EXPECT_THROW(StudySnapshot::decode(reframe(base.header, payload)),
-                 SnapshotError)
+    std::string mutated = body;
+    mutated.replace(at, ordered.size(), outcomes);
+    EXPECT_THROW(StudySnapshot::decode(frame(mutated)), SnapshotError)
         << name;
   }
 }
 
 TEST(SnapshotMutation, SeededByteFlipsDecodeOrReject) {
   const std::string bytes = sectioned_snapshot().encode();
-  const Framed base = unframe(bytes);
-  ASSERT_EQ(reframe(base.header, base.payload), bytes);  // the split is exact
+  const std::string body = body_of(bytes);
+  ASSERT_EQ(frame(body), bytes);  // the split is exact
   util::Rng rng(0x5EED1);
   for (int i = 0; i < 300; ++i) {
-    std::string payload = base.payload;
+    std::string mutated = body;
     const std::uint64_t flips = rng.uniform(1, 4);
     for (std::uint64_t f = 0; f < flips; ++f) {
-      payload[rng.uniform(0, payload.size() - 1)] ^=
+      mutated[rng.uniform(0, mutated.size() - 1)] ^=
           static_cast<char>(rng.uniform(1, 255));
     }
-    expect_decodes_or_rejects(reframe(base.header, payload),
+    expect_decodes_or_rejects(frame(mutated),
                               "flip case " + std::to_string(i));
   }
 }
 
 TEST(SnapshotMutation, EveryTruncationDecodesOrRejects) {
-  const Framed base = unframe(sectioned_snapshot().encode());
-  for (std::size_t cut = 0; cut < base.payload.size(); ++cut) {
-    expect_decodes_or_rejects(
-        reframe(base.header, std::string_view(base.payload).substr(0, cut)),
-        "truncation at " + std::to_string(cut));
+  const std::string body = body_of(sectioned_snapshot().encode());
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    expect_decodes_or_rejects(frame(std::string_view(body).substr(0, cut)),
+                              "truncation at " + std::to_string(cut));
   }
 }
 
 TEST(SnapshotMutation, SeededInsertionsDecodeOrReject) {
-  const Framed base = unframe(sectioned_snapshot().encode());
+  const std::string body = body_of(sectioned_snapshot().encode());
   util::Rng rng(0x5EED2);
   for (int i = 0; i < 300; ++i) {
     std::string inserted(rng.uniform(1, 8), '\0');
     for (char& c : inserted) c = static_cast<char>(rng.uniform(0, 255));
-    std::string payload = base.payload;
-    payload.insert(rng.uniform(0, payload.size()), inserted);
-    expect_decodes_or_rejects(reframe(base.header, payload),
+    std::string mutated = body;
+    mutated.insert(rng.uniform(0, mutated.size()), inserted);
+    expect_decodes_or_rejects(frame(mutated),
                               "insertion case " + std::to_string(i));
   }
 }
@@ -463,17 +453,16 @@ TEST(SnapshotMutation, SeededInsertionsDecodeOrReject) {
 TEST(SnapshotMutation, RetiredWorkerCountSectionIsRejected) {
   // 0x57 carried the worker count of the removed process backend; nothing
   // can resume such a run, so the section reads as a corrupt tail — after
-  // the other optional sections and on its own.
+  // the metrics block and on its own.
   Writer retired;
   retired.u8(0x57);
   retired.u32(4);
   for (const bool sectioned : {true, false}) {
-    const Framed base = unframe(
+    const std::string body = body_of(
         (sectioned ? sectioned_snapshot() : sample_snapshot()).encode());
-    EXPECT_THROW(StudySnapshot::decode(
-                     reframe(base.header, base.payload + retired.bytes())),
+    EXPECT_THROW(StudySnapshot::decode(frame(body + retired.bytes())),
                  SnapshotError)
-        << (sectioned ? "after metrics and strings" : "alone");
+        << (sectioned ? "after metrics" : "alone");
   }
 }
 

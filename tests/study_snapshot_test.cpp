@@ -30,8 +30,9 @@ population::FleetConfig golden_fleet_config() {
   return config;
 }
 
-// One metered study whose checkpoints carry every optional section the CLI
-// writes: the metrics registry with its JSONL lines, and the fleet strings.
+// One metered study whose checkpoints carry everything the CLI writes: the
+// metrics registry with its JSONL lines, and the fleet strings digest every
+// capture stamps in its meta block.
 struct MeteredStudy {
   explicit MeteredStudy(int threads) : fleet(golden_fleet_config()) {
     config.seed = 20211011;
@@ -43,8 +44,6 @@ struct MeteredStudy {
   snapshot::StudySnapshot capture(const longitudinal::Study::State& state) {
     snapshot::StudySnapshot snap = study->capture(state);
     snap.metric_lines = lines;
-    snap.has_strings = true;
-    snap.strings = fleet.strings();
     return snap;
   }
 
@@ -69,21 +68,20 @@ struct MeteredStudy {
 
 TEST(SnapshotGolden, StudyCheckpointBytesArePinned) {
   // fnv1a and length of the encoded checkpoint after begin() and after round
-  // 11 of a metered scale-0.01 study with the strings section on, captured
-  // on the tree before the initial report was shared and its section cached.
-  // If these move, the checkpoint format changed. The digests differ by
-  // thread count: the hosts section records greylist first-contact times,
-  // which each shard takes from its own sim clock lane.
+  // 11 of a metered scale-0.01 study, pinned at format version 2. If these
+  // move, the checkpoint format changed. The digests differ by thread count:
+  // the hosts section records greylist first-contact times, which each
+  // shard takes from its own sim clock lane.
   struct Golden {
     int threads;
     std::uint64_t begin_digest;
     std::uint64_t round11_digest;
   };
-  constexpr std::size_t kBeginLength = 531944;
-  constexpr std::size_t kRound11Length = 553559;
+  constexpr std::size_t kBeginLength = 476979;
+  constexpr std::size_t kRound11Length = 498594;
   for (const Golden& golden :
-       {Golden{1, 11501289697798070815ULL, 5815009327068507373ULL},
-        Golden{4, 13596368503034145343ULL, 15023655524915793860ULL}}) {
+       {Golden{1, 6877201809705422584ULL, 13754295466369072171ULL},
+        Golden{4, 17038815240261992118ULL, 17933948947979029845ULL}}) {
     MeteredStudy run(golden.threads);
     longitudinal::Study::State state = run.begin();
     const std::string at_begin = run.capture(state).encode();
@@ -177,7 +175,7 @@ TEST(SnapshotShared, CachedSectionEncodesLikeAFreshCopy) {
   while (state.next_round < 2) run.run_round(state);
   const snapshot::StudySnapshot snap = run.capture(state);
   ASSERT_TRUE(snap.has_metrics);
-  ASSERT_TRUE(snap.has_strings);
+  ASSERT_EQ(snap.meta.strings_digest, run.fleet.strings().digest());
   ASSERT_FALSE(snap.metric_lines.empty());
 
   const std::string reference = with_uncached_copy(snap).encode();
@@ -234,11 +232,11 @@ TEST(SnapshotShared, ConcurrentFirstEncodesAgree) {
 
 TEST(SnapshotShared, EmptySnapshotEncodesAnEmptyReport) {
   // A default-constructed snapshot has no report and encodes exactly what
-  // one holding an empty report does: the bytes a default snapshot had
-  // before the report was shared (length and fnv1a captured then).
+  // one holding an empty report does: length and fnv1a pinned at format
+  // version 2.
   const std::string bytes = snapshot::StudySnapshot{}.encode();
-  EXPECT_EQ(bytes.size(), 478u);
-  EXPECT_EQ(util::fnv1a(bytes), 17175903541699387203ULL);
+  EXPECT_EQ(bytes.size(), 485u);
+  EXPECT_EQ(util::fnv1a(bytes), 10233303614190604095ULL);
   snapshot::StudySnapshot with_empty;
   with_empty.initial = snapshot::freeze(scan::CampaignReport{});
   EXPECT_EQ(with_empty.encode(), bytes);

@@ -21,7 +21,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 file(WRITE "${WORK_DIR}/control.txt" "\
 submit alpha scale 0.004 nets 7
 submit beta scale 0.004 seed 5 nets 7
-at 2 submit gamma scale 0.004 seed 9 scenario forwarding scenario-rounds 3
+at 2 submit gamma scale 0.004 seed 9 scenario forwarding
 drain
 ")
 

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "snapshot/fields.hpp"
+#include "snapshot/container.hpp"
 #include "snapshot/snapshot.hpp"
 #include "svc/admission.hpp"
 #include "svc/control.hpp"
@@ -87,6 +87,15 @@ TEST(SvcControl, RejectsMalformedLines) {
                svc::ControlError);
   EXPECT_THROW(svc::parse_control_text("submit a bogus 1\n"),
                svc::ControlError);
+  // The per-round scenario replay is gone, and its key with it.
+  try {
+    svc::parse_control_text("submit a scenario forwarding scenario-rounds 3\n");
+    ADD_FAILURE() << "scenario-rounds parsed";
+  } catch (const svc::ControlError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'scenario-rounds'"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(svc::parse_control_text("submit bad/id\n"),
                svc::ControlError);
   EXPECT_THROW(svc::parse_control_text("launch a\n"), svc::ControlError);
@@ -112,7 +121,6 @@ TEST(SvcSpecCodec, RoundTrips) {
   spec.study_seed = 777;
   spec.threads = 4;
   spec.scenario = "forwarding";
-  spec.scenario_rounds = 6;
   spec.fault_rate = 0.01;
   spec.fault_seed = 0xBEEF;
   spec.priority = -2;
@@ -362,7 +370,7 @@ TEST(SvcServiceDeterminism, ReportsInvariantAcrossJobThreadCounts) {
     write_file(config.control,
                std::string("submit a ") + kTinyScale + " threads " +
                    std::to_string(threads) +
-                   " scenario forwarding scenario-rounds 3\ndrain\n");
+                   " scenario forwarding\ndrain\n");
     run_to_drain(config);
     reports.push_back(read_file(config.dir + "/a.report"));
   }
@@ -493,20 +501,19 @@ TEST(SvcServiceRestart, CorruptStateFileIsRejected) {
   EXPECT_THROW(loop.run(), snapshot::SnapshotError);
 }
 
-// A saved svc_state file is a header, a payload and a checksum trailer.
-constexpr std::size_t kStateHead = 8 + 2;  // magic, version
-constexpr std::size_t kStateTail = 8;      // checksum
-
+// The container body of a saved svc_state file.
 std::string state_payload(const std::string& file) {
-  return file.substr(kStateHead, file.size() - kStateHead - kStateTail);
+  return std::string(snapshot::open_file(file, snapshot::kSvcStateFile));
 }
 
-// `payload` framed with the header of `file` and a fresh checksum, so only
+// `payload` framed as an svc_state file with a fresh checksum, so only
 // restore's field decoders and value checks can refuse it.
-std::string reframe_state(const std::string& file, std::string_view payload) {
-  snapshot::Writer tail;
-  tail.u64(snapshot::payload_checksum(payload));
-  return file.substr(0, kStateHead) + std::string(payload) + tail.bytes();
+std::string reframe_state(std::string_view payload) {
+  snapshot::Writer w;
+  const std::size_t slot = snapshot::begin_file(w, snapshot::kSvcStateFile);
+  w.raw(payload);
+  snapshot::end_file(w, slot);
+  return w.take();
 }
 
 // One field of the first job record in a saved svc_state.
@@ -516,9 +523,7 @@ enum class RecordField { Phase, Run, RoundsDone };
 // with a valid checksum, so only restore's value checks can refuse it.
 void patch_first_job(const std::string& path, RecordField field,
                      std::uint64_t value) {
-  const std::string file = read_file(path);
-  ASSERT_GT(file.size(), kStateHead + kStateTail);
-  std::string payload = state_payload(file);
+  std::string payload = state_payload(read_file(path));
   snapshot::Reader r(payload);
   r.u64();      // completed ticks
   r.u64();      // seq counter
@@ -545,7 +550,7 @@ void patch_first_job(const std::string& path, RecordField field,
       break;
   }
   payload.replace(at, w.bytes().size(), w.bytes());
-  write_file(path, reframe_state(file, payload));
+  write_file(path, reframe_state(payload));
 }
 
 // A record whose values no service could have saved is refused even when
@@ -630,7 +635,8 @@ TEST(SvcService, JobFailureSurfacesInSubmitOrder) {
 // three slots, a recurring job, a scenario job, and two jobs contending for
 // one network. The constants were captured from the service that advanced
 // its jobs one after another on the loop's thread; running them side by
-// side must not move a byte.
+// side must not move a byte. scen.report was re-pinned when the per-round
+// scenario replay and its ` rounds N` report field were deleted.
 TEST(SvcGolden, ServiceOutputsArePinned) {
   const std::string dir = scratch_dir("golden");
   svc::SvcConfig config = small_config(dir);
@@ -642,7 +648,7 @@ TEST(SvcGolden, ServiceOutputsArePinned) {
                  "submit q " + kTinyScale + " seed 5 nets 7\n" +
                  "submit cron " + kTinyScale +
                  " seed 9 recur 2 runs 2\n" + "submit scen " + kTinyScale +
-                 " seed 11 scenario forwarding scenario-rounds 3\n" +
+                 " seed 11 scenario forwarding\n" +
                  "at 30 drain\n");
   run_to_drain(config);
 
@@ -657,7 +663,7 @@ TEST(SvcGolden, ServiceOutputsArePinned) {
            Golden{config.dir + "/q.report", 269, 2827512260364495501ULL},
            Golden{config.dir + "/cron.report", 272, 10202069978301699089ULL},
            Golden{config.dir + "/cron.run2.report", 272, 10202069978301699089ULL},
-           Golden{config.dir + "/scen.report", 356, 13625511574804082748ULL},
+           Golden{config.dir + "/scen.report", 347, 11159554828281053213ULL},
            Golden{config.metrics_path, 24657, 14524132331956941651ULL},
            Golden{config.metrics_path + ".prom", 1334,
                   13623796568452344580ULL},
@@ -704,8 +710,8 @@ TEST(SvcService, MaxTicksBoundsAnIdleService) {
 // to exit 2 (SnapshotError, ScanConfigError, ControlError). Anything else —
 // a std::bad_alloc from a count read off the file, say — or a sanitizer
 // report in the asan_faults / ubsan_net lanes is a decoder bug. Each mutated
-// payload is re-framed with a fresh checksum, so the mutation reaches the
-// field decoders instead of stopping at the checksum.
+// payload is re-framed through the container with a fresh checksum, so the
+// mutation reaches the field decoders instead of stopping at the checksum.
 
 // The completed-tick counter: the payload's first field.
 constexpr std::size_t kTickBytes = 8;
@@ -767,7 +773,7 @@ bool restores_or_rejects(const std::string& state, const std::string& which) {
 TEST(SvcStateMutation, SeededByteFlipsRestoreOrReject) {
   const std::string& state = multi_job_state();
   const std::string payload = state_payload(state);
-  ASSERT_EQ(reframe_state(state, payload), state);  // the split is exact
+  ASSERT_EQ(reframe_state(payload), state);  // the split is exact
   EXPECT_TRUE(restores_or_rejects(state, "unmutated state"));
   // Flips skip the tick counter: it is a plain u64 no decoder checks, and a
   // counter flipped below max_ticks would run a job on the mutated specs.
@@ -779,7 +785,7 @@ TEST(SvcStateMutation, SeededByteFlipsRestoreOrReject) {
       mutated[rng.uniform(kTickBytes, mutated.size() - 1)] ^=
           static_cast<char>(rng.uniform(1, 255));
     }
-    restores_or_rejects(reframe_state(state, mutated),
+    restores_or_rejects(reframe_state(mutated),
                         "flip case " + std::to_string(i));
   }
 }
@@ -789,7 +795,7 @@ TEST(SvcStateMutation, EveryTruncationRestoresOrRejects) {
   const std::string payload = state_payload(state);
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     EXPECT_FALSE(restores_or_rejects(
-        reframe_state(state, std::string_view(payload).substr(0, cut)),
+        reframe_state(std::string_view(payload).substr(0, cut)),
         "truncation at " + std::to_string(cut)))
         << "truncation at " << cut << " restored";
   }
@@ -800,7 +806,7 @@ std::string inflate_count(std::string payload, std::size_t at) {
   snapshot::Writer count;
   count.u32(0xFFFFFFFFu);
   payload.replace(at, 4, count.bytes());
-  return reframe_state(multi_job_state(), payload);
+  return reframe_state(payload);
 }
 
 TEST(SvcStateMutation, InflatedJobCountIsRejectedBeforeReserving) {
@@ -825,7 +831,7 @@ TEST(SvcStateMutation, InflatedNetCountIsRejectedBeforeReserving) {
   r.str();  // id
   for (int i = 0; i < 4; ++i) r.u64();  // scale, seed, study seed, threads
   r.str();  // scenario
-  for (int i = 0; i < 5; ++i) r.u64();  // rounds, rate, seed, priority, recur
+  for (int i = 0; i < 4; ++i) r.u64();  // rate, seed, priority, recur
   r.u32();  // runs
   const std::size_t net_count_at = payload.size() - r.remaining();
   ASSERT_EQ(r.u32(), 0u);  // job a derives its networks
