@@ -17,6 +17,18 @@ std::string to_string(RetryOutcome outcome) {
   return "?";
 }
 
+RetryConfig resolve_retry(RetryConfig config, int attempts,
+                          util::SimTime backoff) {
+  if (config.max_attempts == 0) {
+    config.max_attempts = attempts;
+    config.base_backoff = backoff;
+    config.multiplier = 1.0;
+    config.max_backoff = backoff;
+    config.jitter = 0.0;
+  }
+  return config;
+}
+
 util::SimTime RetryPolicy::backoff(std::uint64_t key, std::uint64_t round,
                                    int retry_index) const {
   double wait = static_cast<double>(config_.base_backoff);

@@ -26,8 +26,7 @@ std::string to_string(RetryOutcome outcome);
 
 struct RetryConfig {
   // Total dialog attempts (1 = no retries). 0 means "derive from the
-  // caller's legacy knobs" — the campaign maps it to
-  // 1 + max_greylist_retries with a flat greylist backoff.
+  // caller's legacy knobs" (resolve_retry below).
   int max_attempts = 0;
   util::SimTime base_backoff = 8 * util::kMinute;
   double multiplier = 2.0;                       // exponential growth
@@ -38,6 +37,15 @@ struct RetryConfig {
   int per_address_budget = 16;
   std::uint64_t seed = 0x4241434BULL;  // "BACK"
 };
+
+// Resolve `config`'s zero sentinel to the legacy retry schedule: `attempts`
+// attempts at a flat, unjittered `backoff` — the exact clock schedule of the
+// old single greylist retry, which keeps a rate-0 run byte-identical. A
+// config with max_attempts != 0 is returned unchanged. The campaign passes
+// 1 + max_greylist_retries and its greylist backoff; the study passes 2 and
+// the paper's eight minutes.
+RetryConfig resolve_retry(RetryConfig config, int attempts,
+                          util::SimTime backoff);
 
 class RetryPolicy {
  public:

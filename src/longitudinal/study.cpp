@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "obs/lane.hpp"
 #include "population/paper_constants.hpp"
 #include "scan/prober.hpp"
 #include "snapshot/fields.hpp"
@@ -27,6 +27,13 @@ std::vector<util::SimTime> measurement_round_times() {
     times.push_back(t);
   }
   return times;
+}
+
+// The study's probers: the fleet's responder, default scanner identity.
+scan::ProberConfig prober_config(const population::Fleet& fleet) {
+  scan::ProberConfig config;
+  config.responder = fleet.responder();
+  return config;
 }
 
 }  // namespace
@@ -53,20 +60,13 @@ Study::Study(population::Fleet& fleet, StudyConfig config)
     : fleet_(fleet),
       config_(config),
       plan_(config_.faults),
+      // The legacy schedule: one greylist retry after the paper's backoff.
+      retry_(faults::resolve_retry(config_.retry, 2, paper::kGreylistBackoff)),
       engine_(plan_, retry_, fleet.clock()),
+      batch_(prober_config(fleet), fleet.dns(), fleet.clock(), config_.trace,
+             config_.metrics),
       round_times_(measurement_round_times()),
-      strings_digest_(fleet.strings().digest()) {
-  faults::RetryConfig retry = config_.retry;
-  if (retry.max_attempts == 0) {
-    // The legacy schedule: one greylist retry after the paper's backoff.
-    retry.max_attempts = 2;
-    retry.base_backoff = paper::kGreylistBackoff;
-    retry.multiplier = 1.0;
-    retry.max_backoff = paper::kGreylistBackoff;
-    retry.jitter = 0.0;
-  }
-  retry_ = faults::RetryPolicy(retry);
-}
+      strings_digest_(fleet.strings().digest()) {}
 
 bool Study::in_cohort(const population::DomainRecord& domain, Cohort cohort) {
   switch (cohort) {
@@ -120,73 +120,29 @@ Observation Study::observe_address(scan::Prober& prober,
                                      : Observation::Compliant;
 }
 
-Study::ObserveSliceResult Study::run_observe_slice(
-    std::span<const ObserveJob> jobs, const ObserveContext& ctx) {
-  ObserveSliceResult out;
-  out.results.reserve(jobs.size());
-  util::SimClock::Lane clock_lane(fleet_.clock());
-  dns::AuthoritativeServer::LogLane log_lane(fleet_.dns(), out.log);
-  std::optional<obs::MetricsLane> metrics_lane;
-  if (ctx.metrics) metrics_lane.emplace(out.metrics);
-  // Label slots are a pure function of construction seed + slot + suite, so
-  // an allocator built from State::labels' constructor arguments yields the
-  // same names without sharing that instance across threads.
-  const scan::LabelAllocator labels(util::Rng(config_.seed ^ 0x1ABE15),
-                                    fleet_.responder().base);
-  scan::ProberConfig prober_config;
-  prober_config.responder = fleet_.responder();
-  net::Transport transport(fleet_.clock());
-  scan::Prober prober(prober_config, fleet_.dns(), transport);
-  for (const ObserveJob& job : jobs) {
-    std::optional<net::WireTrace::Lane> lane;
-    if (ctx.tracing) lane.emplace(out.trace, job.slot, fleet_.clock());
-    out.results.push_back(observe_address(prober, job.address, job.kind,
-                                          labels, ctx.suite, job.slot,
-                                          ctx.fault_round, out.deg));
-  }
-  out.advance = clock_lane.offset();
-  return out;
-}
-
 void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
                       std::vector<Observation>& results,
                       const std::string& suite, std::uint64_t fault_round) {
-  // Each slice runs a private clock lane and a private query-log lane, plus
-  // one prober reused across its jobs; the merge folds clock offsets (their
-  // sum is exactly the serial advance) and splices lane logs back in slice —
-  // i.e. address — order.
   results.assign(jobs.size(), Observation::Inconclusive);
-  if (jobs.empty()) return;
-
-  ObserveContext ctx;
-  ctx.suite = suite;
-  ctx.fault_round = fault_round;
-  ctx.tracing = config_.trace != nullptr;
-  ctx.metrics = config_.metrics != nullptr;
-
-  util::ThreadPool& pool = *state.pool;
-  std::vector<ObserveSliceResult> slices(pool.batch_count(jobs.size()));
-  pool.parallel_for_batches(
-      jobs.size(), util::StealMode::Auto,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        slices[slice] = run_observe_slice(
-            std::span<const ObserveJob>(jobs).subspan(begin, end - begin),
-            ctx);
-      });
-
-  util::SimTime total_advance = 0;
-  std::size_t offset = 0;
-  for (auto& slice : slices) {
-    total_advance += slice.advance;
-    fleet_.dns().query_log().splice(std::move(slice.log));
-    state.report.degradation.merge(slice.deg);
-    if (config_.trace != nullptr) config_.trace->splice(std::move(slice.trace));
-    if (config_.metrics != nullptr) config_.metrics->merge(slice.metrics);
-    std::copy(slice.results.begin(), slice.results.end(),
-              results.begin() + static_cast<std::ptrdiff_t>(offset));
-    offset += slice.results.size();
-  }
-  fleet_.clock().advance_by(total_advance);
+  // Label slots are a pure function of the allocator's construction seed,
+  // the slot and the suite, so the workers share the state's allocator
+  // read-only.
+  const scan::LabelAllocator& labels = *state.labels;
+  state.report.degradation.merge(batch_.run(
+      *state.pool, util::StealMode::Auto, jobs.size(), 1,
+      [&](scan::Prober& prober, scan::ProbeSlice& slice, std::size_t begin,
+          std::size_t end) {
+        for (std::size_t j = begin; j < end; ++j) {
+          const ObserveJob& job = jobs[j];
+          std::optional<net::WireTrace::Lane> lane;
+          if (!slice.traces.empty()) {
+            lane.emplace(slice.traces[0], job.slot, fleet_.clock());
+          }
+          results[j] = observe_address(prober, job.address, job.kind, labels,
+                                       suite, job.slot, fault_round,
+                                       slice.deg);
+        }
+      }));
 }
 
 void Study::derive_from_initial(State& state) {

@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,6 +27,7 @@
 #include "net/wire_trace.hpp"
 #include "population/fleet.hpp"
 #include "scan/campaign.hpp"
+#include "scan/probe_batch.hpp"
 #include "scan/probe_engine.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/thread_pool.hpp"
@@ -219,26 +219,6 @@ class Study {
     std::uint64_t slot = 0;
   };
 
-  // Round-scoped parameters of one observation batch, decided serially
-  // before the batch fans out.
-  struct ObserveContext {
-    std::string suite;
-    std::uint64_t fault_round = 0;
-    bool tracing = false;
-    bool metrics = false;
-  };
-
-  // Everything one observation slice produces; merged like a campaign wave
-  // slice (advances sum, logs splice in order, traces splice by lane).
-  struct ObserveSliceResult {
-    std::vector<Observation> results;  // in job order for the slice
-    dns::QueryLog log;
-    util::SimTime advance = 0;
-    faults::DegradationReport deg;
-    net::WireTrace trace;
-    obs::Registry metrics;
-  };
-
   // One longitudinal observation of `address`, run on the calling worker's
   // prober via the shared ProbeEngine. `slot` is the address's stable master
   // index doubled: the first attempt uses label slot `slot`, every retry
@@ -254,13 +234,8 @@ class Study {
                               std::uint64_t fault_round,
                               faults::DegradationReport& deg);
 
-  // Execute one contiguous observation slice — the exact work of one pool
-  // shard, on private clock, query-log, trace and metrics lanes.
-  ObserveSliceResult run_observe_slice(std::span<const ObserveJob> jobs,
-                                       const ObserveContext& ctx);
-
-  // Shard one job batch over the state's pool (per-worker clock, query-log,
-  // degradation, and trace lanes; deterministic merge).
+  // Run one job batch through the probe-batch executor on the state's pool;
+  // results[j] is jobs[j]'s observation.
   void run_batch(State& state, const std::vector<ObserveJob>& jobs,
                  std::vector<Observation>& results, const std::string& suite,
                  std::uint64_t fault_round);
@@ -276,6 +251,7 @@ class Study {
   faults::FaultPlan plan_;
   faults::RetryPolicy retry_;
   scan::ProbeEngine engine_;
+  scan::ProbeBatch batch_;
   std::vector<util::SimTime> round_times_;
   // The fleet's Interner::digest(), taken once per run: the population is
   // fixed once the fleet is built, and every checkpoint's meta carries it.

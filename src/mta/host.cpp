@@ -47,6 +47,10 @@ bool MailHost::runs_vulnerable_engine() const noexcept {
 
 std::optional<smtp::ServerSession> MailHost::connect(
     const util::IpAddress& client) {
+  // Evaluations are per dialog: a new connection never reports the last
+  // one's SPF results or DMARC verdict.
+  last_spf_results_.clear();
+  last_dmarc_.reset();
   if (!profile_.accepts_connections) return std::nullopt;
   return smtp::ServerSession(*this, client);
 }

@@ -145,13 +145,15 @@ class MailHost : public smtp::SessionHandler {
   smtp::Reply on_message(const smtp::Envelope& envelope,
                          const util::IpAddress& client) override;
 
-  // Most recent SPF results, one per engine (diagnostics and tests).
+  // The current dialog's most recent SPF results, one per engine
+  // (diagnostics and tests). connect() clears them.
   const std::vector<spf::Result>& last_spf_results() const noexcept {
     return last_spf_results_;
   }
 
-  // The DMARC evaluation of the most recent on_message, when this host
-  // checks DMARC and one ran (scenario runner and test observability).
+  // The DMARC evaluation of the current dialog's most recent on_message,
+  // when this host checks DMARC and one ran (scenario runner and test
+  // observability). connect() clears it.
   const std::optional<dmarc::Evaluation>& last_dmarc() const noexcept {
     return last_dmarc_;
   }

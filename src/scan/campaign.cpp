@@ -1,14 +1,11 @@
 #include "scan/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "obs/lane.hpp"
-#include "util/concurrent_table.hpp"
 #include "util/intern.hpp"
 #include "util/rng.hpp"
 
@@ -51,138 +48,141 @@ std::uint64_t provider_group(const util::IpAddress& address) {
   return util::fnv1a(address.to_string()) | (1ULL << 63);
 }
 
-// Serial reference dedupe: first-listing domain wins, items come out in
-// ascending address order with recipients interned into `recipients` (which
-// must outlive the returned items — they view its arena).
-std::vector<WaveItem> dedupe_serial(const TargetSource& targets,
-                                    util::Interner& recipients) {
-  std::unordered_map<util::IpAddress, util::Symbol, util::IpAddressHash>
-      recipient_for;
-  recipient_for.reserve(targets.address_upper_bound());
+// One unit of wave work: an address plus the recipient domain for RCPT TO.
+// The view aliases the round's recipient interner, which outlives every
+// slice of the round.
+struct WaveItem {
+  util::IpAddress address;
+  std::string_view recipient;
+};
+
+// Deduplicate the targets' addresses into the master work list, in
+// ascending address order. Each address keeps the first domain that listed
+// it as its RCPT TO recipient: the (address, recipient) edges are flattened
+// in walk order, stable-sorted by address, and the first edge of each run of
+// equal addresses wins. Domain names are interned once into `recipients`
+// (DESIGN.md §14), which must outlive the returned items — they view its
+// arena.
+std::vector<WaveItem> dedupe(const TargetSource& targets,
+                             util::Interner& recipients) {
+  std::vector<std::pair<util::IpAddress, util::Symbol>> edges;
+  edges.reserve(targets.address_upper_bound());
   targets.for_each([&](std::string_view domain,
                        std::span<const util::IpAddress> addresses) {
     if (addresses.empty()) return;
     const util::Symbol name = recipients.intern(domain);
-    for (const auto& address : addresses) {
-      recipient_for.emplace(address, name);
-    }
+    for (const auto& address : addresses) edges.emplace_back(address, name);
   });
-  std::vector<const std::pair<const util::IpAddress, util::Symbol>*> order;
-  order.reserve(recipient_for.size());
-  for (const auto& entry : recipient_for) order.push_back(&entry);
-  std::sort(order.begin(), order.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+  std::stable_sort(
+      edges.begin(), edges.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              edges.end());
   std::vector<WaveItem> items;
-  items.reserve(order.size());
-  for (const auto* entry : order) {
-    items.push_back(WaveItem{entry->first, recipients.view(entry->second)});
+  items.reserve(edges.size());
+  for (const auto& [address, name] : edges) {
+    items.push_back(WaveItem{address, recipients.view(name)});
   }
   return items;
 }
 
-// Concurrent dedupe over a lock-free table (DESIGN.md §16), same output as
-// dedupe_serial byte for byte. A serial walk flattens the (domain, address)
-// edges, then workers race CAS-min claims of the flat position into a
-// ConcurrentTable keyed by address hash: the minimum position is the first
-// listing, i.e. exactly the entry emplace() would have kept. The claim is
-// order-free (min is commutative), so the steal schedule is invisible.
-// Addresses are wider than the u64 key, so a hit verifies the full address
-// and re-probes under a salted key on a genuine 64-bit collision.
-std::vector<WaveItem> dedupe_concurrent(const TargetSource& targets,
-                                        util::Interner& recipients,
-                                        util::ThreadPool& pool,
-                                        util::StealMode steal) {
-  // Phase A (serial): flatten the walk. flat position i carries the address
-  // and the Symbol of the domain that listed it.
-  std::vector<util::IpAddress> flat_addrs;
-  std::vector<util::Symbol> flat_name;
-  flat_addrs.reserve(targets.address_upper_bound());
-  flat_name.reserve(targets.address_upper_bound());
-  targets.for_each([&](std::string_view domain,
-                       std::span<const util::IpAddress> addresses) {
-    if (addresses.empty()) return;
-    const util::Symbol name = recipients.intern(domain);
-    for (const auto& address : addresses) {
-      flat_addrs.push_back(address);
-      flat_name.push_back(name);
-    }
-  });
-
-  struct DedupeSlot {
-    util::IpAddress address;                 // published pre-Ready, immutable
-    std::atomic<std::uint64_t> claim{0};     // CAS-min of the flat position
-  };
-  constexpr std::uint64_t kSaltStep = 0x9E3779B97F4A7C15ULL;
-  constexpr int kMaxSalt = 4;
-  util::ConcurrentTable<DedupeSlot> table(flat_addrs.size());
-
-  // Phase B (parallel): claim every flat position. Throws TableFullError on
-  // a blown sizing bound (impossible while the table is sized to the flat
-  // list) — the caller falls back to the serial path.
-  pool.parallel_for_batches(
-      flat_addrs.size(), steal,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const util::IpAddress& address = flat_addrs[i];
-          const std::uint64_t hash = util::IpAddressHash{}(address);
-          for (int salt = 0;; ++salt) {
-            if (salt > kMaxSalt) {
-              throw util::TableFullError("dedupe salt chain exhausted");
-            }
-            const std::uint64_t key =
-                hash + static_cast<std::uint64_t>(salt) * kSaltStep;
-            const auto found = table.find_or_insert(key, [&](DedupeSlot& s) {
-              s.address = address;
-              s.claim.store(i, std::memory_order_relaxed);
-            });
-            if (found.inserted) break;
-            if (found.payload->address == address) {
-              std::atomic<std::uint64_t>& claim = found.payload->claim;
-              std::uint64_t cur = claim.load(std::memory_order_relaxed);
-              while (static_cast<std::uint64_t>(i) < cur &&
-                     !claim.compare_exchange_weak(
-                         cur, i, std::memory_order_acq_rel,
-                         std::memory_order_relaxed)) {
-              }
-              break;
-            }
-            // 64-bit collision with a different address: re-probe salted.
-          }
-        }
-      });
-
-  // Phase C (quiescent): collect winners and restore address order.
-  std::vector<std::pair<util::IpAddress, std::uint64_t>> winners;
-  winners.reserve(table.size());
-  table.for_each([&](std::uint64_t, const DedupeSlot& slot) {
-    winners.emplace_back(slot.address,
-                         slot.claim.load(std::memory_order_relaxed));
-  });
-  std::sort(winners.begin(), winners.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<WaveItem> items;
-  items.reserve(winners.size());
-  for (const auto& [address, claim] : winners) {
-    items.push_back(WaveItem{address, recipients.view(flat_name[claim])});
+// Fold a NoMsg result into `outcome`. Returns whether the address still
+// wants BlankMsg: NoMsg saw no SPF, or a settled mid-dialog 550 left room
+// for SPF after DATA (e.g. the RCPT ladder ran dry; the paper's wave 2
+// covered those too). A measured address does not: the paper retried almost
+// all NoMsg successes with BlankMsg, but only the inconclusive ones feed it
+// here.
+bool apply_nomsg(AddressOutcome& outcome, ProbeResult nomsg) {
+  bool want_blankmsg = false;
+  switch (nomsg.status) {
+    case ProbeStatus::ConnectionRefused:
+      outcome.verdict = AddressVerdict::Refused;
+      break;
+    case ProbeStatus::SpfMeasured:
+      outcome.verdict = AddressVerdict::Measured;
+      outcome.behaviors = nomsg.behaviors;
+      break;
+    case ProbeStatus::SpfNotMeasured:
+      outcome.verdict = AddressVerdict::NotMeasured;
+      want_blankmsg = true;
+      break;
+    case ProbeStatus::Greylisted:  // retries exhausted
+    case ProbeStatus::TempFailed:
+    case ProbeStatus::Dropped:
+    case ProbeStatus::SmtpFailure:
+      outcome.verdict = AddressVerdict::SmtpFailure;
+      want_blankmsg =
+          nomsg.failing_code == 550 && !is_transient(nomsg.status);
+      break;
   }
-  return items;
+  outcome.nomsg = std::move(nomsg);
+  return want_blankmsg;
 }
 
-// Derive the effective retry policy. The zero sentinel maps the legacy
-// greylist knobs onto the engine: 1 + max_greylist_retries attempts at a
-// flat, unjittered greylist_backoff — the exact clock schedule of the old
-// probe_with_greylist_retry loop, so a rate-0 run stays byte-identical.
-faults::RetryConfig effective_retry(const CampaignConfig& config) {
-  faults::RetryConfig retry = config.retry;
-  if (retry.max_attempts == 0) {
-    retry.max_attempts = 1 + config.max_greylist_retries;
-    retry.base_backoff = config.greylist_backoff;
-    retry.multiplier = 1.0;
-    retry.max_backoff = config.greylist_backoff;
-    retry.jitter = 0.0;
+// Fold a BlankMsg result into `outcome`: a measurement adds its behaviours,
+// and an SMTP failure demotes an address NoMsg saw no SPF at.
+void apply_blankmsg(AddressOutcome& outcome, ProbeResult blankmsg) {
+  if (blankmsg.status == ProbeStatus::SpfMeasured) {
+    outcome.verdict = AddressVerdict::Measured;
+    outcome.behaviors.insert(blankmsg.behaviors.begin(),
+                             blankmsg.behaviors.end());
+  } else if (outcome.verdict == AddressVerdict::NotMeasured &&
+             blankmsg.status == ProbeStatus::SmtpFailure) {
+    outcome.verdict = AddressVerdict::SmtpFailure;
   }
-  return retry;
+  outcome.blankmsg = std::move(blankmsg);
 }
+
+// One measurement round, decided serially before any pass fans out: a slice
+// is a pure function of its index range, this struct and the host
+// registry's state.
+struct Round {
+  const LabelAllocator& labels;
+  const ProbeEngine& engine;
+  util::SimClock& clock;
+  std::string suite;                   // this round's probe-label suite
+  std::uint64_t fault_round = 0;       // fault-plan round salt
+  util::SimTime per_test_advance = 0;  // concurrency-cap clock model
+  std::vector<WaveItem> items;         // the master work list
+  std::vector<AddressOutcome*> outcomes;  // items[i]'s report entry
+
+  // Run one test of items[i] on `host` in the calling slice: charge the
+  // per-test clock advance, record the dialog into trace pass `pass`, and
+  // drive the shared ProbeEngine. The label slot and trace lane are 2i for
+  // NoMsg and 2i+1 for BlankMsg — the master position, never the slice
+  // layout. Attempt numbers continue across calls via
+  // `probe_attempts`, keeping fault-plan keys fresh on every re-attempt,
+  // and the round-level retry budget shrinks with `retries_used`.
+  ProbeResult run_test(Prober& prober, ProbeSlice& slice, std::size_t pass,
+                       mta::MailHost& host, TestKind kind,
+                       std::size_t i) const {
+    clock.advance_by(per_test_advance);
+    const std::uint64_t slot = 2 * i + (kind == TestKind::BlankMsg ? 1 : 0);
+    std::optional<net::WireTrace::Lane> lane;
+    if (!slice.traces.empty()) lane.emplace(slice.traces[pass], slot, clock);
+    AddressOutcome& outcome = *outcomes[i];
+    ProbeRequest request;
+    request.address = outcome.address;
+    request.recipient_domain = items[i].recipient;
+    // The campaign keeps one label per test across retries; labels only
+    // differ per attempt in the longitudinal per-observation path.
+    request.mail_from = labels.indexed_mail_from(slot, suite);
+    request.retry_mail_from = request.mail_from;
+    request.kind = kind;
+    request.fault_round = fault_round;
+    request.first_attempt = static_cast<std::uint64_t>(outcome.probe_attempts);
+    request.retry_budget =
+        engine.retry().config().per_address_budget - outcome.retries_used;
+    ProbeOutcome settled = engine.run(prober, host, request, slice.deg);
+    outcome.probe_attempts += settled.attempts;
+    outcome.retries_used += settled.retries;
+    outcome.saw_transient = outcome.saw_transient || settled.saw_transient;
+    return std::move(settled.result);
+  }
+};
 
 }  // namespace
 
@@ -247,300 +247,80 @@ Campaign::Campaign(CampaignConfig config, dns::AuthoritativeServer& server,
       registry_(registry),
       labels_(util::Rng(config_.label_seed), config_.prober.responder.base),
       plan_(config_.faults),
-      retry_(effective_retry(config_)),
-      engine_(plan_, retry_, clock_) {}
-
-ProbeResult Campaign::probe_settled(Prober& prober, mta::MailHost& host,
-                                    std::string_view recipient_domain,
-                                    const dns::Name& mail_from, TestKind kind,
-                                    std::uint64_t round,
-                                    AddressOutcome& outcome,
-                                    faults::DegradationReport& deg) {
-  ProbeRequest request;
-  request.address = outcome.address;
-  request.recipient_domain = recipient_domain;
-  // The campaign keeps one label per test across retries; labels only differ
-  // per attempt in the longitudinal per-observation path.
-  request.mail_from = mail_from;
-  request.retry_mail_from = mail_from;
-  request.kind = kind;
-  request.fault_round = round;
-  request.first_attempt = static_cast<std::uint64_t>(outcome.probe_attempts);
-  request.retry_budget =
-      retry_.config().per_address_budget - outcome.retries_used;
-  const ProbeOutcome settled = engine_.run(prober, host, request, deg);
-  outcome.probe_attempts += settled.attempts;
-  outcome.retries_used += settled.retries;
-  outcome.saw_transient = outcome.saw_transient || settled.saw_transient;
-  return settled.result;
-}
+      retry_(faults::resolve_retry(config_.retry,
+                                   1 + config_.max_greylist_retries,
+                                   config_.greylist_backoff)),
+      engine_(plan_, retry_, clock_),
+      batch_(config_.prober, server_, clock_, config_.trace, config_.metrics) {}
 
 CampaignReport Campaign::run(const std::vector<TargetDomain>& targets) {
   return run(VectorTargetSource(targets));
 }
 
-WaveSliceResult Campaign::run_wave_slice(std::span<const WaveItem> items,
-                                         std::size_t base,
-                                         const WaveContext& ctx) {
-  WaveSliceResult out;
-  out.outcomes.reserve(items.size());
-  util::SimClock::Lane clock_lane(clock_);
-  dns::AuthoritativeServer::LogLane log_lane(server_, out.log);
-  std::optional<obs::MetricsLane> metrics_lane;
-  if (ctx.metrics) metrics_lane.emplace(out.metrics);
-  net::Transport transport(clock_);
-  Prober prober(config_.prober, server_, transport);  // one per slice, reused
-
-  // Wave 1: NoMsg over the slice. Label slots and trace lanes derive from the
-  // master-order position base + k, never from the slice layout.
-  std::vector<std::size_t> want_blankmsg;
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    const std::size_t i = base + k;
-    const auto& [address, recipient] = items[k];
-    clock_.advance_by(ctx.per_test_advance);
-    AddressOutcome outcome;
-    outcome.address = address;
-
-    mta::MailHost* host = registry_.find_host(address);
-    if (host == nullptr) {
-      outcome.verdict = AddressVerdict::Refused;
-      out.outcomes.push_back(std::move(outcome));
-      continue;
-    }
-
-    std::optional<net::WireTrace::Lane> lane;
-    if (ctx.tracing) lane.emplace(out.wave1, 2 * i, clock_);
-    const dns::Name mail_from = labels_.indexed_mail_from(2 * i, ctx.suite);
-    const ProbeResult nomsg =
-        probe_settled(prober, *host, recipient, mail_from, TestKind::NoMsg,
-                      ctx.round, outcome, out.deg);
-    lane.reset();
-    registry_.release_host(address);
-    outcome.nomsg = nomsg;
-
-    switch (nomsg.status) {
-      case ProbeStatus::ConnectionRefused:
-        outcome.verdict = AddressVerdict::Refused;
-        break;
-      case ProbeStatus::SpfMeasured:
-        outcome.verdict = AddressVerdict::Measured;
-        outcome.behaviors = nomsg.behaviors;
-        // The paper retried almost all NoMsg successes with BlankMsg too —
-        // but only those that had NOT yet yielded a conclusive measurement
-        // feed wave 2 here.
-        break;
-      case ProbeStatus::SpfNotMeasured:
-        outcome.verdict = AddressVerdict::NotMeasured;
-        want_blankmsg.push_back(k);
-        break;
-      case ProbeStatus::Greylisted:  // retries exhausted
-      case ProbeStatus::TempFailed:
-      case ProbeStatus::Dropped:
-      case ProbeStatus::SmtpFailure:
-        outcome.verdict = AddressVerdict::SmtpFailure;
-        // A mid-dialog failure can still be followed by a BlankMsg attempt
-        // when the failure left room for SPF-after-DATA (e.g. the RCPT
-        // ladder ran dry): the paper's wave 2 covered those too.
-        if (nomsg.failing_code == 550) want_blankmsg.push_back(k);
-        break;
-    }
-    out.outcomes.push_back(std::move(outcome));
-  }
-
-  // Wave 2: BlankMsg for addresses that accepted SMTP but showed no SPF.
-  for (const std::size_t k : want_blankmsg) {
-    const std::size_t i = base + k;
-    clock_.advance_by(ctx.per_test_advance);
-    AddressOutcome& outcome = out.outcomes[k];
-    mta::MailHost* host = registry_.find_host(outcome.address);
-    if (host == nullptr) continue;
-
-    std::optional<net::WireTrace::Lane> lane;
-    if (ctx.tracing) lane.emplace(out.wave2, 2 * i + 1, clock_);
-    const dns::Name mail_from = labels_.indexed_mail_from(2 * i + 1, ctx.suite);
-    const ProbeResult blankmsg =
-        probe_settled(prober, *host, items[k].recipient, mail_from,
-                      TestKind::BlankMsg, ctx.round, outcome, out.deg);
-    lane.reset();
-    registry_.release_host(outcome.address);
-    outcome.blankmsg = blankmsg;
-
-    if (blankmsg.status == ProbeStatus::SpfMeasured) {
-      outcome.verdict = AddressVerdict::Measured;
-      outcome.behaviors.insert(blankmsg.behaviors.begin(),
-                               blankmsg.behaviors.end());
-    } else if (outcome.verdict == AddressVerdict::NotMeasured &&
-               blankmsg.status == ProbeStatus::SmtpFailure) {
-      outcome.verdict = AddressVerdict::SmtpFailure;
-    }
-  }
-  out.advance = clock_lane.offset();
-  return out;
-}
-
-RequeueSliceResult Campaign::run_requeue_slice(
-    std::span<const RequeueItem> items, const WaveContext& ctx) {
-  RequeueSliceResult out;
-  out.outcomes.reserve(items.size());
-  util::SimClock::Lane clock_lane(clock_);
-  dns::AuthoritativeServer::LogLane log_lane(server_, out.log);
-  std::optional<obs::MetricsLane> metrics_lane;
-  if (ctx.metrics) metrics_lane.emplace(out.metrics);
-  net::Transport transport(clock_);
-  Prober prober(config_.prober, server_, transport);
-  for (const RequeueItem& rq : items) {
-    const std::size_t i = rq.index;
-    const std::string_view recipient_domain = rq.item.recipient;
-    AddressOutcome outcome = rq.outcome;
-    mta::MailHost* host = registry_.find_host(rq.item.address);
-    if (host == nullptr) {
-      out.outcomes.push_back(std::move(outcome));
-      continue;
-    }
-
-    const TestKind pending = *outcome.pending_transient();
-    if (pending == TestKind::NoMsg) {
-      clock_.advance_by(ctx.per_test_advance);
-      std::optional<net::WireTrace::Lane> lane;
-      if (ctx.tracing) lane.emplace(out.trace, 2 * i, clock_);
-      const dns::Name mail_from = labels_.indexed_mail_from(2 * i, ctx.suite);
-      const ProbeResult nomsg =
-          probe_settled(prober, *host, recipient_domain, mail_from,
-                        TestKind::NoMsg, ctx.round, outcome, out.deg);
-      lane.reset();
-      outcome.nomsg = nomsg;
-      switch (nomsg.status) {
-        case ProbeStatus::ConnectionRefused:
-          outcome.verdict = AddressVerdict::Refused;
-          break;
-        case ProbeStatus::SpfMeasured:
-          outcome.verdict = AddressVerdict::Measured;
-          outcome.behaviors = nomsg.behaviors;
-          break;
-        case ProbeStatus::SpfNotMeasured:
-          outcome.verdict = AddressVerdict::NotMeasured;
-          break;
-        case ProbeStatus::Greylisted:
-        case ProbeStatus::TempFailed:
-        case ProbeStatus::Dropped:
-        case ProbeStatus::SmtpFailure:
-          outcome.verdict = AddressVerdict::SmtpFailure;
-          break;
-      }
-    }
-    // A settled NoMsg that wants the message-bearing test (either it just
-    // recovered to "no SPF seen", or BlankMsg itself was the stuck test)
-    // gets the wave-2 treatment inline.
-    const bool want_blank =
-        pending == TestKind::BlankMsg ||
-        (outcome.nomsg && !is_transient(outcome.nomsg->status) &&
-         (outcome.nomsg->status == ProbeStatus::SpfNotMeasured ||
-          outcome.nomsg->failing_code == 550));
-    if (want_blank) {
-      clock_.advance_by(ctx.per_test_advance);
-      std::optional<net::WireTrace::Lane> lane;
-      if (ctx.tracing) lane.emplace(out.trace, 2 * i + 1, clock_);
-      const dns::Name mail_from =
-          labels_.indexed_mail_from(2 * i + 1, ctx.suite);
-      const ProbeResult blankmsg =
-          probe_settled(prober, *host, recipient_domain, mail_from,
-                        TestKind::BlankMsg, ctx.round, outcome, out.deg);
-      lane.reset();
-      outcome.blankmsg = blankmsg;
-      if (blankmsg.status == ProbeStatus::SpfMeasured) {
-        outcome.verdict = AddressVerdict::Measured;
-        outcome.behaviors.insert(blankmsg.behaviors.begin(),
-                                 blankmsg.behaviors.end());
-      } else if (outcome.verdict == AddressVerdict::NotMeasured &&
-                 blankmsg.status == ProbeStatus::SmtpFailure) {
-        outcome.verdict = AddressVerdict::SmtpFailure;
-      }
-    }
-    registry_.release_host(rq.item.address);
-    if (!outcome.pending_transient()) ++out.recovered;
-    out.outcomes.push_back(std::move(outcome));
-  }
-  out.advance = clock_lane.offset();
-  return out;
-}
-
 CampaignReport Campaign::run(const TargetSource& targets) {
   CampaignReport report;
   report.suite_label = labels_.new_suite();
-  const std::uint64_t round = next_round_++;
   report.degradation.configured_rate = plan_.config().rate;
 
-  // The worker pool comes first: the concurrent dedupe below runs on it.
-  util::ThreadPool pool(config_.threads);
+  // The concurrency cap means wall-clock advances by (gap / cap) per test on
+  // average; each slice accumulates that 250-lane model on its clock lane,
+  // and the lane offsets sum to exactly the serial advance.
+  const util::SimTime per_test_advance = std::max<util::SimTime>(
+      1, config_.inter_connection_gap / config_.max_concurrent_connections);
+  Round round{labels_, engine_, clock_, report.suite_label, next_round_++,
+              per_test_advance, {}, {}};
 
-  // 1. Deduplicate addresses, remembering a recipient domain for each (the
-  //    first domain that listed the address — used for RCPT TO). Domain names
-  //    are interned once (DESIGN.md §14): the dedupe carries a 4-byte Symbol
-  //    per address instead of a heap string copy. The dedupe races CAS-min
-  //    claims through a lock-free table (DESIGN.md §16) — byte-identical to
-  //    the serial walk, which it falls back to if the table fills.
-  //
-  //    The result is the master work list, in ascending address order.
-  //    Slices are contiguous runs of this list, so every address (and with
-  //    it every host: hosts are keyed by address) belongs to exactly one
-  //    worker at a time, and the merge below reassembles results in address
-  //    order — bit-identical at any thread count. Probe labels derive from
-  //    the position in this list, never from allocation order.
+  // 1. Deduplicate addresses into the master work list, in ascending address
+  //    order. Slices are contiguous runs of this list, so every address (and
+  //    with it every host: hosts are keyed by address) belongs to exactly one
+  //    worker at a time. Probe labels derive from the position in this list,
+  //    never from allocation order. Each address's report entry is created
+  //    here, serially and in list order; the slices fill them in place.
   util::Interner recipients;  // outlives every item view below
-  std::vector<WaveItem> items;
-  try {
-    items = dedupe_concurrent(targets, recipients, pool, config_.steal);
-  } catch (const util::TableFullError&) {
-    items = dedupe_serial(targets, recipients);
+  round.items = dedupe(targets, recipients);
+  const std::size_t n = round.items.size();
+  report.addresses.reserve(n);
+  round.outcomes.reserve(n);
+  for (const WaveItem& item : round.items) {
+    AddressOutcome& outcome = report.addresses[item.address];
+    outcome.address = item.address;
+    round.outcomes.push_back(&outcome);
   }
 
-  // 2+3. The two probe waves, sliced. The concurrency cap means wall-clock
-  //    advances by (gap / cap) per test on average; each worker accumulates
-  //    that 250-lane model on a private clock lane, and the lane offsets sum
-  //    to exactly the serial advance.
-  const util::SimTime per_test_advance =
-      std::max<util::SimTime>(1, config_.inter_connection_gap /
-                                     config_.max_concurrent_connections);
-
-  WaveContext ctx;
-  ctx.suite = report.suite_label;
-  ctx.round = round;
-  ctx.per_test_advance = per_test_advance;
-  ctx.tracing = config_.trace != nullptr;
-  ctx.metrics = config_.metrics != nullptr;
-
-  std::vector<WaveSliceResult> slices(pool.batch_count(items.size()));
-  pool.parallel_for_batches(
-      items.size(), config_.steal,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        slices[slice] = run_wave_slice(
-            std::span<const WaveItem>(items).subspan(begin, end - begin),
-            begin, ctx);
-      });
-
-  // Merge: fold lane clocks back into the shared one (the sum reproduces the
-  // serial advance), drain lane query logs in slice — i.e. address — order,
-  // and reassemble the report.
-  util::SimTime total_advance = 0;
-  report.addresses.reserve(items.size());
-  for (auto& slice : slices) {
-    total_advance += slice.advance;
-    server_.query_log().splice(std::move(slice.log));
-    report.degradation.merge(slice.deg);
-    if (config_.metrics != nullptr) config_.metrics->merge(slice.metrics);
-    for (auto& outcome : slice.outcomes) {
-      const util::IpAddress address = outcome.address;
-      report.addresses.emplace(address, std::move(outcome));
-    }
-  }
-  clock_.advance_by(total_advance);
-
-  // Canonical trace order is wave-major, then master (address) order within
-  // the wave — exactly the sequence a single-threaded run records.
-  if (ctx.tracing) {
-    for (auto& slice : slices) config_.trace->splice(std::move(slice.wave1));
-    for (auto& slice : slices) config_.trace->splice(std::move(slice.wave2));
-  }
+  // 2+3. The two probe waves. Within a slice every NoMsg test runs first, in
+  //    item order, then BlankMsg for the slice's addresses that accepted SMTP
+  //    but showed no SPF. Both waves charge the per-test advance even where
+  //    no host answers (the address stays Refused).
+  util::ThreadPool pool(config_.threads);
+  const auto find_or_charge = [&](std::size_t i) {
+    mta::MailHost* host = registry_.find_host(round.items[i].address);
+    if (host == nullptr) clock_.advance_by(round.per_test_advance);
+    return host;
+  };
+  report.degradation.merge(batch_.run(
+      pool, config_.steal, n, 2,
+      [&](Prober& prober, ProbeSlice& slice, std::size_t begin,
+          std::size_t end) {
+        std::vector<std::size_t> want_blankmsg;
+        for (std::size_t i = begin; i < end; ++i) {
+          mta::MailHost* host = find_or_charge(i);
+          if (host == nullptr) continue;
+          ProbeResult nomsg =
+              round.run_test(prober, slice, 0, *host, TestKind::NoMsg, i);
+          registry_.release_host(round.items[i].address);
+          if (apply_nomsg(*round.outcomes[i], std::move(nomsg))) {
+            want_blankmsg.push_back(i);
+          }
+        }
+        for (const std::size_t i : want_blankmsg) {
+          mta::MailHost* host = find_or_charge(i);
+          if (host == nullptr) continue;
+          ProbeResult blankmsg =
+              round.run_test(prober, slice, 1, *host, TestKind::BlankMsg, i);
+          registry_.release_host(round.items[i].address);
+          apply_blankmsg(*round.outcomes[i], std::move(blankmsg));
+        }
+      }));
 
   // 3b. Circuit breaker + inconclusive re-queue wave (fault layer only).
   //
@@ -550,50 +330,13 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   // come from the complete merged wave results, so the decision (and with it
   // the whole report) is independent of the thread count.
   if (plan_.enabled()) {
-    // Per-group tested/transient tallies, accumulated through a lock-free
-    // table of atomic counters (DESIGN.md §16) — the group key IS the u64
-    // table key, so no wide-key verify is needed, and sums are order-free,
-    // so the steal schedule is invisible. A full table falls back to the
-    // serial walk, which computes the same tallies.
     std::unordered_map<std::uint64_t, std::pair<std::size_t, std::size_t>>
         group_stats;  // group -> {tested, transient}
-    const auto tally_serial = [&] {
-      for (const auto& item : items) {
-        const auto it = report.addresses.find(item.address);
-        if (it == report.addresses.end()) continue;
-        auto& stats = group_stats[provider_group(item.address)];
-        ++stats.first;
-        if (it->second.pending_transient()) ++stats.second;
-      }
-    };
-    struct GroupStats {
-      std::atomic<std::uint32_t> tested{0};
-      std::atomic<std::uint32_t> transient{0};
-    };
-    util::ConcurrentTable<GroupStats> groups(items.size());
-    try {
-      pool.parallel_for_batches(
-          items.size(), config_.steal,
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              const auto it = report.addresses.find(items[i].address);
-              if (it == report.addresses.end()) continue;
-              GroupStats* stats =
-                  groups.find_or_insert(provider_group(items[i].address))
-                      .payload;
-              stats->tested.fetch_add(1, std::memory_order_relaxed);
-              if (it->second.pending_transient()) {
-                stats->transient.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-          });
-      groups.for_each([&](std::uint64_t group, const GroupStats& stats) {
-        group_stats[group] = {stats.tested.load(std::memory_order_relaxed),
-                              stats.transient.load(std::memory_order_relaxed)};
-      });
-    } catch (const util::TableFullError&) {
-      group_stats.clear();
-      tally_serial();
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& [tested, transient] =
+          group_stats[provider_group(round.items[i].address)];
+      ++tested;
+      if (round.outcomes[i]->pending_transient()) ++transient;
     }
     std::unordered_set<std::uint64_t> open_groups;
     for (const auto& [group, stats] : group_stats) {
@@ -609,11 +352,9 @@ CampaignReport Campaign::run(const TargetSource& targets) {
     // Re-queue candidates, in master (address) order so labels and fault
     // keys line up across thread counts.
     std::vector<std::size_t> requeue;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const auto it = report.addresses.find(items[i].address);
-      if (it == report.addresses.end()) continue;
-      if (!it->second.pending_transient()) continue;
-      if (open_groups.count(provider_group(items[i].address)) > 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!round.outcomes[i]->pending_transient()) continue;
+      if (open_groups.count(provider_group(round.items[i].address)) > 0) {
         ++report.degradation.breaker_skipped;
         continue;
       }
@@ -622,40 +363,38 @@ CampaignReport Campaign::run(const TargetSource& targets) {
 
     if (!requeue.empty()) {
       clock_.advance_by(config_.requeue_backoff);
-      std::vector<RequeueItem> rq_items;
-      rq_items.reserve(requeue.size());
+      // One pass, one trace: the stuck test runs again, and a settled NoMsg
+      // that wants the message-bearing test gets the wave-2 treatment
+      // inline. A missing host is skipped without charging the clock.
+      report.degradation.merge(batch_.run(
+          pool, config_.steal, requeue.size(), 1,
+          [&](Prober& prober, ProbeSlice& slice, std::size_t begin,
+              std::size_t end) {
+            for (std::size_t j = begin; j < end; ++j) {
+              const std::size_t i = requeue[j];
+              AddressOutcome& outcome = *round.outcomes[i];
+              mta::MailHost* host = registry_.find_host(outcome.address);
+              if (host == nullptr) continue;
+              const TestKind pending = *outcome.pending_transient();
+              bool want_blankmsg = pending == TestKind::BlankMsg;
+              if (pending == TestKind::NoMsg) {
+                want_blankmsg = apply_nomsg(
+                    outcome, round.run_test(prober, slice, 0, *host,
+                                            TestKind::NoMsg, i));
+              }
+              if (want_blankmsg) {
+                apply_blankmsg(outcome,
+                               round.run_test(prober, slice, 0, *host,
+                                              TestKind::BlankMsg, i));
+              }
+              registry_.release_host(outcome.address);
+            }
+          }));
       for (const std::size_t i : requeue) {
-        RequeueItem item;
-        item.index = i;
-        item.item = items[i];
-        item.outcome = report.addresses.find(items[i].address)->second;
-        rq_items.push_back(std::move(item));
-      }
-
-      std::vector<RequeueSliceResult> rq_slices(
-          pool.batch_count(rq_items.size()));
-      pool.parallel_for_batches(
-          rq_items.size(), config_.steal,
-          [&](std::size_t slice, std::size_t begin, std::size_t end) {
-            rq_slices[slice] = run_requeue_slice(
-                std::span<const RequeueItem>(rq_items).subspan(begin,
-                                                               end - begin),
-                ctx);
-          });
-
-      util::SimTime rq_advance = 0;
-      for (auto& slice : rq_slices) {
-        rq_advance += slice.advance;
-        server_.query_log().splice(std::move(slice.log));
-        report.degradation.merge(slice.deg);
-        report.degradation.requeue_recovered += slice.recovered;
-        if (ctx.tracing) config_.trace->splice(std::move(slice.trace));
-        if (config_.metrics != nullptr) config_.metrics->merge(slice.metrics);
-        for (auto& outcome : slice.outcomes) {
-          report.addresses.find(outcome.address)->second = std::move(outcome);
+        if (!round.outcomes[i]->pending_transient()) {
+          ++report.degradation.requeue_recovered;
         }
       }
-      clock_.advance_by(rq_advance);
       report.degradation.requeued += requeue.size();
     }
   }
@@ -720,18 +459,6 @@ CampaignReport Campaign::run(const TargetSource& targets) {
     report.domains.push_back(std::move(domain_outcome));
   });
   return report;
-}
-
-CampaignReport Campaign::run_addresses(
-    const std::vector<util::IpAddress>& addresses) {
-  std::vector<TargetDomain> targets;
-  targets.reserve(addresses.size());
-  for (const auto& address : addresses) {
-    // Recipient domain is synthesised from the address; longitudinal rounds
-    // only need per-address verdicts, not domain roll-ups.
-    targets.push_back(TargetDomain{"host-" + address.to_string(), {address}});
-  }
-  return run(targets);
 }
 
 }  // namespace spfail::scan

@@ -27,6 +27,7 @@
 #include "faults/retry.hpp"
 #include "net/wire_trace.hpp"
 #include "obs/metrics.hpp"
+#include "scan/probe_batch.hpp"
 #include "scan/probe_engine.hpp"
 #include "scan/prober.hpp"
 #include "util/thread_pool.hpp"
@@ -112,62 +113,6 @@ struct AddressOutcome {
   }
 };
 
-// One unit of wave work: an address plus the recipient domain for RCPT TO.
-// The view aliases the campaign's recipient interner, which outlives every
-// slice of the round.
-struct WaveItem {
-  util::IpAddress address;
-  std::string_view recipient;
-};
-
-// Round-scoped parameters a slice executor needs. Everything here is decided
-// serially before the wave fans out, so a slice is a pure function of
-// (items, base, ctx) plus the host registry's state.
-struct WaveContext {
-  std::string suite;                  // this round's probe-label suite
-  std::uint64_t round = 0;            // fault-plan round salt
-  util::SimTime per_test_advance = 0; // concurrency-cap clock model
-  bool tracing = false;
-  bool metrics = false;
-};
-
-// Everything one wave slice produces. Merging slices in master (address)
-// order reproduces the serial run byte-for-byte: advances sum, query logs
-// splice in order, degradation counters merge, traces splice wave-major.
-struct WaveSliceResult {
-  std::vector<AddressOutcome> outcomes;  // in item order for the slice
-  dns::QueryLog log;
-  util::SimTime advance = 0;
-  faults::DegradationReport deg;
-  // Per-wave wire captures: frames for this slice's tests, each recorded
-  // under the test's master-order lane id (2i NoMsg / 2i+1 BlankMsg) with
-  // probe-relative timestamps, so the merged trace never depends on the
-  // slice layout.
-  net::WireTrace wave1;
-  net::WireTrace wave2;
-  // Slice-local metric lane, merged into CampaignConfig::metrics in order.
-  obs::Registry metrics;
-};
-
-// One re-queue candidate: its master-order position (label/lane slot base),
-// its wave item, and a copy of its current outcome. The slice mutates the
-// copy and hands it back; the campaign writes it over the report entry.
-struct RequeueItem {
-  std::size_t index = 0;
-  WaveItem item;
-  AddressOutcome outcome;
-};
-
-struct RequeueSliceResult {
-  std::vector<AddressOutcome> outcomes;  // mutated copies, in item order
-  dns::QueryLog log;
-  util::SimTime advance = 0;
-  faults::DegradationReport deg;
-  std::size_t recovered = 0;
-  net::WireTrace trace;
-  obs::Registry metrics;
-};
-
 struct DomainOutcome {
   std::string domain;
   std::vector<util::IpAddress> addresses;
@@ -198,8 +143,9 @@ struct CampaignConfig {
   // --- fault injection & resilience (inert at the default rate 0) ---
   faults::FaultConfig faults;
   // max_attempts == 0 derives the policy from the greylist knobs above
-  // (1 + max_greylist_retries attempts, flat greylist_backoff, no jitter),
-  // which keeps a rate-0 run byte-identical to the legacy retry loop.
+  // through faults::resolve_retry (1 + max_greylist_retries attempts, flat
+  // greylist_backoff, no jitter), which keeps a rate-0 run byte-identical to
+  // the legacy retry loop.
   faults::RetryConfig retry;
 
   // Structured wire capture (DESIGN.md §10): when set, every SMTP and DNS
@@ -258,32 +204,7 @@ class Campaign {
   // the fleet never holds the whole target vector in memory.
   CampaignReport run(const TargetSource& targets);
 
-  // Re-measure only the given addresses (the longitudinal rounds, which per
-  // section 6.1 are restricted to previously vulnerable/inconclusive hosts).
-  CampaignReport run_addresses(const std::vector<util::IpAddress>& addresses);
-
  private:
-  // Execute one contiguous wave slice: items[k] is master-order position
-  // base + k — the exact work of one pool slice. Reentrant across disjoint
-  // slices: all mutable state lives in the result or behind lanes.
-  WaveSliceResult run_wave_slice(std::span<const WaveItem> items,
-                                 std::size_t base, const WaveContext& ctx);
-
-  // Execute one re-queue slice over copies of the candidates' outcomes.
-  RequeueSliceResult run_requeue_slice(std::span<const RequeueItem> items,
-                                       const WaveContext& ctx);
-
-  // Adapter over the shared ProbeEngine: builds the ProbeRequest for one
-  // test of `outcome`'s address and folds the engine's retry bookkeeping
-  // back into the AddressOutcome. Attempt numbers continue across calls via
-  // `outcome.probe_attempts`, keeping fault-plan keys fresh on every
-  // re-attempt; the round-level retry budget shrinks with `retries_used`.
-  ProbeResult probe_settled(Prober& prober, mta::MailHost& host,
-                            std::string_view recipient_domain,
-                            const dns::Name& mail_from, TestKind kind,
-                            std::uint64_t round, AddressOutcome& outcome,
-                            faults::DegradationReport& deg);
-
   CampaignConfig config_;
   dns::AuthoritativeServer& server_;
   util::SimClock& clock_;
@@ -292,10 +213,9 @@ class Campaign {
   faults::FaultPlan plan_;
   faults::RetryPolicy retry_;
   ProbeEngine engine_;
+  ProbeBatch batch_;
   // Measurement-round counter: run() bumps it, and it salts the fault-plan
-  // key so repeated rounds over the same fleet see fresh fault draws. The
-  // running round's value travels in WaveContext; run() has already bumped
-  // this member by the time its slices execute.
+  // key so repeated rounds over the same fleet see fresh fault draws.
   std::uint64_t next_round_ = 0;
 };
 

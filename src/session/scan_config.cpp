@@ -15,8 +15,9 @@ void ScanConfig::validate() const {
     throw ScanConfigError("--scale must be in (0, 1], got " +
                           std::to_string(scale));
   }
-  if (threads < 0) {
-    throw ScanConfigError("--threads must be >= 0, got " +
+  if (threads < 0 || threads > util::kMaxThreads) {
+    throw ScanConfigError("--threads must be in [0, " +
+                          std::to_string(util::kMaxThreads) + "], got " +
                           std::to_string(threads));
   }
   if (!(faults.rate >= 0.0 && faults.rate <= 1.0)) {

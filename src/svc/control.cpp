@@ -1,6 +1,7 @@
 #include "svc/control.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "session/flag_parse.hpp"
@@ -73,8 +74,14 @@ JobSpec parse_submit(std::size_t line_no,
     } else if (key == "recur") {
       spec.recur = session::parse_u64(key, value);
     } else if (key == "runs") {
-      spec.runs = static_cast<std::uint32_t>(
-          session::parse_u64(key, value));
+      const std::uint64_t runs = session::parse_u64(key, value);
+      if (runs > std::numeric_limits<std::uint32_t>::max()) {
+        fail(line_no, "runs must be at most " +
+                          std::to_string(
+                              std::numeric_limits<std::uint32_t>::max()) +
+                          ", got " + tokens[i + 1]);
+      }
+      spec.runs = static_cast<std::uint32_t>(runs);
     } else if (key == "nets") {
       spec.nets = parse_nets(line_no, tokens[i + 1]);
     } else {

@@ -23,8 +23,7 @@
 //
 // Keys are arbitrary u64s (callers typically use util::fnv1a). Any key value
 // is legal, including 0 and ~0 — slot occupancy lives in the state byte, not
-// in a reserved key sentinel (the per-/24 provider groups legitimately hash
-// to 0). Callers whose logical keys are wider than 64 bits (interned strings,
+// in a reserved key sentinel. Callers whose logical keys are wider than 64 bits (interned strings,
 // IPv6 addresses) must verify the full value after a hit and re-probe under a
 // salted key on mismatch; spf::SharedRecordCache::lookup is the pattern.
 #pragma once

@@ -10,16 +10,22 @@
 namespace spfail::util {
 
 std::size_t resolve_thread_count(int requested) {
+  if (requested > kMaxThreads) {
+    throw std::invalid_argument("thread count must be at most " +
+                                std::to_string(kMaxThreads) + ", got " +
+                                std::to_string(requested));
+  }
   if (requested > 0) return static_cast<std::size_t>(requested);
   if (const char* env = std::getenv("SPFAIL_THREADS");
       env != nullptr && *env != '\0') {
     char* end = nullptr;
     errno = 0;
     const long parsed = std::strtol(env, &end, 10);
-    if (*end != '\0' || errno == ERANGE || parsed < 0) {
+    if (*end != '\0' || errno == ERANGE || parsed < 0 ||
+        parsed > kMaxThreads) {
       throw std::invalid_argument(
-          "SPFAIL_THREADS expects a whole number >= 0, got '" +
-          std::string(env) + "'");
+          "SPFAIL_THREADS expects a whole number in [0, " +
+          std::to_string(kMaxThreads) + "], got '" + std::string(env) + "'");
     }
     if (parsed > 0) return static_cast<std::size_t>(parsed);
   }

@@ -23,10 +23,16 @@
 
 namespace spfail::util {
 
+// The largest thread count a caller may request. A count above it is an
+// input error, never a pool of that many OS threads: ScanConfig::validate
+// rejects --threads, SPFAIL_THREADS and the svc `threads` key past it.
+inline constexpr int kMaxThreads = 256;
+
 // `requested` <= 0 means "resolve from the environment": SPFAIL_THREADS if
 // set and positive, else std::thread::hardware_concurrency(), else 1. Unset,
 // empty and "0" all mean the hardware default; anything that is not a whole
-// number >= 0 throws std::invalid_argument naming the variable.
+// number in [0, kMaxThreads] throws std::invalid_argument naming the
+// variable, and so does a request above kMaxThreads.
 std::size_t resolve_thread_count(int requested);
 
 class ThreadPool {

@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "report/tables.hpp"
+#include "scratch_path.hpp"
 #include "session/scan_session.hpp"
 #include "util/rng.hpp"
 #include "util/shutdown.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spfail {
 namespace {
@@ -207,7 +209,7 @@ TEST(CheckpointResume, RefusesMismatchedConfiguration) {
 }
 
 TEST(CheckpointResume, ScanSessionHaltWritesResumableCheckpoint) {
-  const std::string path = testing::TempDir() + "spfail_ckpt_session.bin";
+  const std::string path = testutil::scratch_path("ckpt_session.bin");
 
   session::ScanConfig base;
   base.scale = 0.004;
@@ -239,7 +241,7 @@ TEST(CheckpointResume, TerminationSignalCheckpointsAndResumesIdentically) {
   // A caught SIGINT/SIGTERM behaves like a halt request: the session writes
   // a final checkpoint at the next round boundary, reports interrupted(),
   // and a resumed run finishes byte-identically to an uninterrupted one.
-  const std::string path = testing::TempDir() + "spfail_ckpt_signal.bin";
+  const std::string path = testutil::scratch_path("ckpt_signal.bin");
 
   session::ScanConfig base;
   base.scale = 0.004;
@@ -277,7 +279,7 @@ TEST(CheckpointResume, LazyFleetHaltResumeMatchesUninterruptedEagerRun) {
   // before the resident fleet was deleted.
   constexpr std::uint64_t kResidentDigest = 11474371070450440843ULL;
   constexpr std::size_t kResidentLength = 3679;
-  const std::string path = testing::TempDir() + "spfail_ckpt_lazy.bin";
+  const std::string path = testutil::scratch_path("ckpt_lazy.bin");
 
   session::ScanConfig base;
   base.scale = 0.004;
@@ -310,7 +312,7 @@ TEST(CheckpointResume, FreshRunDiscardsOrphanedTempCheckpoint) {
   // A writer killed mid-checkpoint leaves <path>.tmp behind; atomic rename
   // means <path> itself is never corrupt. A fresh run must clean up the
   // orphan so it cannot shadow or outlive the real snapshot.
-  const std::string path = testing::TempDir() + "spfail_ckpt_orphan.bin";
+  const std::string path = testutil::scratch_path("ckpt_orphan.bin");
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::trunc);
@@ -330,7 +332,7 @@ TEST(CheckpointResume, FreshRunDiscardsOrphanedTempCheckpoint) {
 }
 
 TEST(CheckpointResume, CampaignSnapshotShortCircuitsInitialOnly) {
-  const std::string path = testing::TempDir() + "spfail_ckpt_campaign.bin";
+  const std::string path = testutil::scratch_path("ckpt_campaign.bin");
 
   session::ScanConfig config;
   config.scale = 0.004;
@@ -469,6 +471,10 @@ TEST(ScanConfigArgs, RejectsMalformedEnvironment) {
   rejects("SPFAIL_THREADS", "2x");
   rejects("SPFAIL_THREADS", "abc");
   rejects("SPFAIL_THREADS", "-1");
+  // A count past util::kMaxThreads is rejected before any pool could be
+  // asked for that many OS threads.
+  rejects("SPFAIL_THREADS", "100000");
+  rejects("SPFAIL_THREADS", "257");
   rejects("SPFAIL_STEAL", "greedy");
   // A hand-built config (the ScanSession and svc JobSpec path) runs the
   // same check.
@@ -481,7 +487,21 @@ TEST(ScanConfigArgs, RejectsMalformedEnvironment) {
   session::ScanConfig explicit_threads;
   explicit_threads.threads = 2;
   EXPECT_NO_THROW(explicit_threads.validate());
-  for (const char* fine : {"", "0", "3"}) {
+  // --threads carries the same bound as SPFAIL_THREADS.
+  for (const int too_many : {257, 100000}) {
+    session::ScanConfig config;
+    config.threads = too_many;
+    try {
+      config.validate();
+      ADD_FAILURE() << "--threads " << too_many << " was accepted";
+    } catch (const session::ScanConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("--threads"), std::string::npos)
+          << error.what();
+    }
+  }
+  explicit_threads.threads = util::kMaxThreads;
+  EXPECT_NO_THROW(explicit_threads.validate());
+  for (const char* fine : {"", "0", "3", "256"}) {
     ::setenv("SPFAIL_THREADS", fine, 1);
     EXPECT_NO_THROW(session::ScanConfig::from_env()) << fine;
   }

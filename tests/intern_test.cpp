@@ -14,6 +14,7 @@
 #include "population/fleet.hpp"
 #include "report/tables.hpp"
 #include "scan/campaign.hpp"
+#include "scratch_path.hpp"
 #include "session/scan_session.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/intern.hpp"
@@ -308,7 +309,7 @@ TEST(InternFleet, TargetSourceMatchesMaterialisedTargets) {
 // ------------------------------------------------- snapshot strings digest
 
 TEST(SnapshotStrings, SessionVerifiesInternTableOnResume) {
-  const std::string path = testing::TempDir() + "spfail_strings_ckpt.bin";
+  const std::string path = testutil::scratch_path("strings_ckpt.bin");
 
   session::ScanConfig config;
   config.scale = 0.004;

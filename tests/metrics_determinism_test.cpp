@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
+#include "scratch_path.hpp"
 #include "session/scan_session.hpp"
 
 namespace spfail {
@@ -20,7 +21,7 @@ session::ScanConfig metered_config() {
   config.scale = 0.004;
   config.faults.rate = 0.02;
   // Any non-empty path enables metrics; these tests never write the files.
-  config.metrics_path = testing::TempDir() + "spfail_metrics_unwritten.jsonl";
+  config.metrics_path = testutil::scratch_path("metrics_unwritten.jsonl");
   return config;
 }
 
@@ -62,7 +63,7 @@ TEST(MetricsDeterminism, InitialOnlyCampaignIsThreadCountInvariant) {
 }
 
 TEST(MetricsDeterminism, HaltAndResumeReEmitIdenticalMetricStream) {
-  const std::string path = testing::TempDir() + "spfail_metrics_ckpt.bin";
+  const std::string path = testutil::scratch_path("metrics_ckpt.bin");
 
   session::ScanConfig halting = metered_config();
   halting.checkpoint_path = path;

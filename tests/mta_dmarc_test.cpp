@@ -85,5 +85,19 @@ TEST_F(MtaDmarcFixture, DmarcQueriesDoNotPolluteTheFingerprint) {
   EXPECT_TRUE(saw_dmarc_query);
 }
 
+TEST_F(MtaDmarcFixture, NewDialogStartsWithoutStaleEvaluations) {
+  mta::MailHost host = make_host(/*checks_dmarc=*/true);
+  probe(host, "idaa4");
+  ASSERT_TRUE(host.last_dmarc().has_value());
+  ASSERT_EQ(host.last_spf_results().size(), 1u);
+
+  // The next connection is a new dialog: nothing of the last one's SPF or
+  // DMARC evaluation may show through before it evaluates anything itself.
+  const auto session = host.connect(util::IpAddress::v4(198, 51, 100, 10));
+  ASSERT_TRUE(session.has_value());
+  EXPECT_FALSE(host.last_dmarc().has_value());
+  EXPECT_TRUE(host.last_spf_results().empty());
+}
+
 }  // namespace
 }  // namespace spfail

@@ -314,14 +314,70 @@ TEST_F(ScanFixture, CampaignRetriesGreylistedHosts) {
   EXPECT_TRUE(outcome.vulnerable());
 }
 
-TEST_F(ScanFixture, RunAddressesForLongitudinalRounds) {
-  add_host(base_profile(SpfBehavior::VulnerableLibspf2, 50));
+TEST_F(ScanFixture, DedupeProbesEachAddressOnceForItsFirstListingDomain) {
+  const IpAddress a = IpAddress::v4(203, 0, 113, 60);
+  const IpAddress b = IpAddress::v4(203, 0, 113, 61);
+  // Both hosts measure at MAIL FROM and, not rejecting the SPF fail, go on
+  // to RCPT TO, where the recipient domain shows on the wire.
+  for (const auto& [behavior, octet] :
+       {std::pair{SpfBehavior::RfcCompliant, 60},
+        std::pair{SpfBehavior::VulnerableLibspf2, 61}}) {
+    mta::HostProfile profile =
+        base_profile(behavior, static_cast<std::uint8_t>(octet));
+    profile.rejects_spf_fail = false;
+    add_host(std::move(profile));
+  }
+
+  net::WireTrace trace;
   scan::CampaignConfig config;
   config.prober = prober_config_;
+  config.trace = &trace;
   scan::Campaign campaign(config, server_, clock_, *this);
-  const auto report =
-      campaign.run_addresses({IpAddress::v4(203, 0, 113, 50)});
-  EXPECT_EQ(report.vulnerable_addresses(), 1u);
+  const scan::CampaignReport report = campaign.run(
+      {{"b.example", {a}}, {"a.example", {a, b}}, {"c.example", {b, b}}});
+
+  // One NoMsg dialog per address, however many domains list it.
+  EXPECT_EQ(report.addresses_tested(), 2u);
+  EXPECT_EQ(report.degradation.probe_attempts, 2u);
+
+  // The first domain in walk order that lists an address is its RCPT TO
+  // recipient: b.example for A, a.example for B.
+  std::map<std::string, std::set<std::string>> rcpt_domains;  // dst -> domains
+  for (const net::Frame& frame : trace.frames()) {
+    if (frame.kind != net::FrameKind::SmtpCommand || frame.verb != "RCPT") {
+      continue;
+    }
+    const std::size_t at = frame.text.find('@');
+    ASSERT_NE(at, std::string::npos) << frame.text;
+    rcpt_domains[frame.dst].insert(
+        frame.text.substr(at + 1, frame.text.size() - at - 2));
+  }
+  EXPECT_EQ(rcpt_domains[a.to_string()], std::set<std::string>{"b.example"});
+  EXPECT_EQ(rcpt_domains[b.to_string()], std::set<std::string>{"a.example"});
+  EXPECT_EQ(rcpt_domains.size(), 2u);
+
+  // Every domain rolls up its own addresses' verdicts, duplicates included.
+  ASSERT_EQ(report.domains.size(), 3u);
+  const scan::DomainOutcome& only_a = report.domains[0];
+  EXPECT_EQ(only_a.domain, "b.example");
+  EXPECT_TRUE(only_a.any_measured);
+  EXPECT_FALSE(only_a.vulnerable);
+  EXPECT_EQ(only_a.behaviors, std::set<SpfBehavior>{SpfBehavior::RfcCompliant});
+  const scan::DomainOutcome& both = report.domains[1];
+  EXPECT_EQ(both.domain, "a.example");
+  EXPECT_TRUE(both.any_measured);
+  EXPECT_TRUE(both.vulnerable);
+  EXPECT_EQ(both.behaviors,
+            (std::set<SpfBehavior>{SpfBehavior::RfcCompliant,
+                                   SpfBehavior::VulnerableLibspf2}));
+  const scan::DomainOutcome& twice_b = report.domains[2];
+  EXPECT_EQ(twice_b.domain, "c.example");
+  EXPECT_EQ(twice_b.addresses, (std::vector<IpAddress>{b, b}));
+  EXPECT_TRUE(twice_b.any_measured);
+  EXPECT_TRUE(twice_b.vulnerable);
+  EXPECT_EQ(twice_b.behaviors,
+            std::set<SpfBehavior>{SpfBehavior::VulnerableLibspf2});
+  EXPECT_FALSE(only_a.any_refused || both.any_refused || twice_b.any_refused);
 }
 
 TEST_F(ScanFixture, UniqueLabelsDefeatCaching) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 
+#include "scratch_path.hpp"
 #include "snapshot/container.hpp"
 #include "snapshot/snapshot.hpp"
 #include "svc/service.hpp"
@@ -183,7 +184,7 @@ TEST(SnapshotContainer, RefusesVersionOneAsThePreviousLayoutsWroteIt) {
         << e.what();
   }
   svc::SvcConfig config;
-  config.dir = testing::TempDir() + "spfail_container_v1_svc";
+  config.dir = testutil::scratch_path("container_v1_svc");
   std::filesystem::remove_all(config.dir);
   std::filesystem::create_directories(config.dir);
   {

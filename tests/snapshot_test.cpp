@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 
+#include "scratch_path.hpp"
 #include "snapshot/container.hpp"
 #include "snapshot/fields.hpp"
 #include "snapshot/snapshot.hpp"
@@ -309,7 +310,7 @@ TEST(Snapshot, RejectsTruncationAndTrailingBytes) {
 }
 
 TEST(Snapshot, SaveAtomicallyAndLoadFileRoundTrip) {
-  const std::string path = testing::TempDir() + "spfail_snapshot_test.bin";
+  const std::string path = testutil::scratch_path("snapshot_test.bin");
   const std::string bytes = sample_snapshot().encode();
   save_atomically(path, bytes);
   EXPECT_EQ(load_file(path), bytes);

@@ -9,8 +9,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "scratch_path.hpp"
 #include "snapshot/container.hpp"
 #include "snapshot/snapshot.hpp"
 #include "svc/admission.hpp"
@@ -25,7 +27,7 @@ namespace {
 // A fresh per-test scratch directory (gtest's TempDir persists across
 // cases, so each test gets its own subtree and clears it up front).
 std::string scratch_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "spfail_svc_" + name;
+  const std::string dir = testutil::scratch_path("svc_" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -105,10 +107,95 @@ TEST(SvcControl, RejectsMalformedLines) {
   // runs > 1 without a recurrence interval cannot be scheduled.
   EXPECT_THROW(svc::parse_control_text("submit a runs 3\n"),
                svc::ControlError);
+  // Out-of-range values are rejected naming the key and the value: runs is
+  // 32 bits wide and never truncated, and a thread count is bounded before
+  // any pool could be asked for it.
+  const auto rejects_naming = [](const char* line, const char* key,
+                                 const char* value) {
+    try {
+      svc::parse_control_text(line);
+      ADD_FAILURE() << line << " parsed";
+    } catch (const svc::ControlError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  };
+  rejects_naming("submit j runs 4294967297 recur 1\n", "runs", "4294967297");
+  rejects_naming("submit j runs 4294967296\n", "runs", "4294967296");
+  rejects_naming("submit j threads 100000\n", "threads", "100000");
+  rejects_naming("submit j threads 257\n", "threads", "257");
+  EXPECT_EQ(svc::parse_control_text("submit j runs 4294967295 recur 1\n")
+                .at(0)
+                .spec.runs,
+            4294967295u);
+  EXPECT_EQ(
+      svc::parse_control_text("submit j threads 256\n").at(0).spec.threads,
+      256);
 }
 
 TEST(SvcControl, MissingFileIsEmptyScript) {
   EXPECT_TRUE(svc::read_control_file("/nonexistent/control").empty());
+}
+
+// --- mutation lane: the control grammar --------------------------------
+//
+// Every mutant of a script that uses every submit key, `at`, comments and
+// CRLF line ends must parse or throw ControlError. Any other exception — or
+// a sanitizer report in the asan_faults / ubsan_net lanes — is a parser bug.
+
+constexpr std::string_view kMutationScript =
+    "# every key, deferred commands, CRLF line ends\r\n"
+    "submit alpha scale 0.02 seed 7 study-seed 11 threads 2 "
+    "scenario forwarding,alignment fault-rate 0.05 fault-seed 99 "
+    "priority -3 recur 5 runs 4 nets 4,9,12\r\n"
+    "status   # trailing comment\r\n"
+    "\r\n"
+    "at 12 submit beta scale 0.004 nets 7\r\n"
+    "at 30 drain\n";
+
+void parses_or_rejects(std::string_view text, const std::string& which) {
+  try {
+    svc::parse_control_text(text);
+  } catch (const svc::ControlError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << which << " escaped as a non-control error: " << e.what();
+  } catch (...) {
+    ADD_FAILURE() << which << " escaped as a non-standard exception";
+  }
+}
+
+TEST(SvcControlMutation, SeededByteFlipsParseOrReject) {
+  const auto commands = svc::parse_control_text(kMutationScript);
+  ASSERT_EQ(commands.size(), 4u);
+  const svc::JobSpec& alpha = commands[0].spec;
+  EXPECT_EQ(alpha.study_seed, 11u);
+  EXPECT_EQ(alpha.threads, 2);
+  EXPECT_EQ(alpha.scenario, "forwarding,alignment");
+  EXPECT_EQ(alpha.fault_seed, 99u);
+  EXPECT_EQ(alpha.priority, -3);
+  EXPECT_EQ(alpha.runs, 4u);
+  EXPECT_EQ(alpha.nets, (std::vector<std::uint64_t>{4, 9, 12}));
+  EXPECT_EQ(commands[3].kind, svc::Command::Kind::Drain);
+  EXPECT_EQ(commands[3].at_tick, 30u);
+
+  util::Rng rng(0xC0471);
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutated(kMutationScript);
+    const std::uint64_t flips = rng.uniform(1, 4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      mutated[rng.uniform(0, mutated.size() - 1)] ^=
+          static_cast<char>(rng.uniform(1, 255));
+    }
+    parses_or_rejects(mutated, "flip case " + std::to_string(i));
+  }
+}
+
+TEST(SvcControlMutation, EveryTruncationParsesOrRejects) {
+  for (std::size_t cut = 0; cut <= kMutationScript.size(); ++cut) {
+    parses_or_rejects(kMutationScript.substr(0, cut),
+                      "truncation at " + std::to_string(cut));
+  }
 }
 
 // --- job spec codec ---
