@@ -6,11 +6,11 @@
 //            path (CAS-claim a fresh slot, publish) and the hit path (probe
 //            to an already-published slot), all threads hammering one shared
 //            table the way the record cache and breaker groups do.
-//   steal  — scheduler overhead: the same deliberately skewed synthetic
-//            workload dispatched through the work-stealing batch scheduler
-//            under each steal mode (none / random / adversarial), so the
-//            steal machinery's cost — and the rebalancing it buys under
-//            skew — is a number, not a hunch.
+//   dispatch — scheduler overhead: a deliberately skewed synthetic workload
+//            dispatched through ThreadPool::parallel_for_batches, whose
+//            workers claim batch indices from one shared cursor, so the
+//            dispatch cost — and the rebalancing it buys under skew — is a
+//            number, not a hunch.
 //   cache  — spf::SharedRecordCache fed distinct record texts, four times
 //            its capacity, the way per-probe templated policies arrive:
 //            lookups/s while it admits (parse + insert) and after its
@@ -100,11 +100,11 @@ TableRates measure_table(int threads, std::uint64_t keys, int rounds) {
   return rates;
 }
 
-// ------------------------------------------------------------------ steal
+// --------------------------------------------------------------- dispatch
 
 // Skewed per-item cost — the first tenth of the range is 16x heavier, the
-// shape a no-steal drain handles worst (the first workers' batches become
-// the stragglers).
+// shape a static one-run-per-worker split handles worst (the first worker's
+// run becomes the straggler).
 std::uint64_t item_work(std::size_t i, std::size_t n, int spin) {
   const int reps = (i < n / 10) ? spin * 16 : spin;
   std::uint64_t h = 1469598103934665603ULL ^ i;
@@ -115,33 +115,17 @@ std::uint64_t item_work(std::size_t i, std::size_t n, int spin) {
   return h;
 }
 
-double measure_dispatch(int threads, std::size_t n, int spin,
-                        util::StealMode mode) {
+double measure_dispatch(int threads, std::size_t n, int spin) {
   util::ThreadPool pool(threads);
   std::vector<std::uint64_t> sums(pool.batch_count(n));
   const auto start = std::chrono::steady_clock::now();
   pool.parallel_for_batches(
-      n, mode, [&](std::size_t batch, std::size_t begin, std::size_t end) {
+      n, [&](std::size_t batch, std::size_t begin, std::size_t end) {
         std::uint64_t sum = 0;
         for (std::size_t i = begin; i < end; ++i) sum += item_work(i, n, spin);
         sums[batch] = sum;
       });
   return seconds_since(start);
-}
-
-struct StealTimes {
-  double none_s = 0.0;
-  double random_s = 0.0;
-  double adversarial_s = 0.0;
-};
-
-StealTimes measure_steal(int threads, std::size_t n, int spin) {
-  StealTimes times;
-  times.none_s = measure_dispatch(threads, n, spin, util::StealMode::None);
-  times.random_s = measure_dispatch(threads, n, spin, util::StealMode::Random);
-  times.adversarial_s =
-      measure_dispatch(threads, n, spin, util::StealMode::Adversarial);
-  return times;
 }
 
 // ------------------------------------------------------------------ cache
@@ -234,11 +218,11 @@ int main(int argc, char** argv) {
   }
 
   std::vector<TableRates> table_rates;
-  std::vector<StealTimes> steal_times;
+  std::vector<double> dispatch_seconds;
   std::vector<CacheRates> cache_rates;
   for (const int threads : lanes) {
     table_rates.push_back(measure_table(threads, keys, rounds));
-    steal_times.push_back(measure_steal(threads, items, spin));
+    dispatch_seconds.push_back(measure_dispatch(threads, items, spin));
     cache_rates.push_back(measure_cache(threads, texts));
   }
   // The lane is informational, but a cache that grew past its admission
@@ -256,10 +240,9 @@ int main(int argc, char** argv) {
   }
 
   util::TextTable table(
-      {"Threads", "Table miss Mop/s", "Table hit Mop/s", "Steal(none) s",
-       "Steal(random) s", "Steal(adv) s"},
+      {"Threads", "Table miss Mop/s", "Table hit Mop/s", "Dispatch s"},
       {util::Align::Right, util::Align::Right, util::Align::Right,
-       util::Align::Right, util::Align::Right, util::Align::Right});
+       util::Align::Right});
   const auto fmt = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -267,9 +250,7 @@ int main(int argc, char** argv) {
   };
   for (std::size_t i = 0; i < std::size(lanes); ++i) {
     table.add_row({std::to_string(lanes[i]), fmt(table_rates[i].miss_mops),
-                   fmt(table_rates[i].hit_mops), fmt(steal_times[i].none_s),
-                   fmt(steal_times[i].random_s),
-                   fmt(steal_times[i].adversarial_s)});
+                   fmt(table_rates[i].hit_mops), fmt(dispatch_seconds[i])});
   }
   std::cout << table << "\n";
 
@@ -299,11 +280,7 @@ int main(int argc, char** argv) {
     out << "    {\n      \"threads\": " << lanes[i] << ",\n"
         << "      \"table_miss_mops\": " << table_rates[i].miss_mops << ",\n"
         << "      \"table_hit_mops\": " << table_rates[i].hit_mops << ",\n"
-        << "      \"steal\": {\n"
-        << "        \"none_seconds\": " << steal_times[i].none_s << ",\n"
-        << "        \"random_seconds\": " << steal_times[i].random_s << ",\n"
-        << "        \"adversarial_seconds\": " << steal_times[i].adversarial_s
-        << "\n      },\n"
+        << "      \"dispatch_seconds\": " << dispatch_seconds[i] << ",\n"
         << "      \"record_cache\": {\n"
         << "        \"admit_mlookups_per_s\": " << cache_rates[i].admit_mlps
         << ",\n"

@@ -65,9 +65,8 @@
 // 130 (resume with --resume).
 //
 // All flags reject malformed values (e.g. `--threads x`, `--fault-rate 2`)
-// with exit code 2 instead of silently coercing them, and so do the two
-// variables the thread pool reads itself: SPFAIL_THREADS and the
-// SPFAIL_STEAL test hook (none|random|adversarial steal schedule).
+// with exit code 2 instead of silently coercing them, and so does
+// SPFAIL_THREADS, which the thread pool reads itself.
 #include <fstream>
 #include <iostream>
 #include <optional>

@@ -72,6 +72,10 @@ Record parse_record(std::string_view txt) {
     } else if (name == "adkim") {
       record.dkim_alignment = parse_alignment(value);
     } else if (name == "pct") {
+      // RFC 7489 §6.4: pct = 1*3DIGIT.
+      if (value.empty() || value.size() > 3) {
+        throw RecordSyntaxError("malformed pct value");
+      }
       int pct = 0;
       for (char c : value) {
         if (!std::isdigit(static_cast<unsigned char>(c))) {

@@ -1,7 +1,6 @@
 #include "dns/forwarder.hpp"
 
-#include <algorithm>
-
+#include "dns/resolver.hpp"
 #include "obs/lane.hpp"
 
 namespace spfail::dns {
@@ -58,11 +57,7 @@ Message CachingForwarder::handle(const Message& query,
   const Message response =
       transport_.exchange(upstream_, query, self_, upstream_endpoint_, client);
 
-  util::SimTime ttl = 300;
-  for (const auto& rr : response.answers) {
-    ttl = std::min<util::SimTime>(ttl, rr.ttl);
-  }
-  cache_[key] = Entry{clock_.now() + ttl, response};
+  cache_[key] = Entry{clock_.now() + cache_ttl(response.answers), response};
   return response;
 }
 

@@ -1,6 +1,6 @@
 #include "dns/recursive.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "obs/lane.hpp"
 
@@ -147,11 +147,8 @@ ResolveResult RecursiveResolver::resolve_once(
       // Authoritative data (or a terminal error): done.
       result.rcode = response.header.rcode;
       result.answers = response.answers;
-      util::SimTime ttl = 300;
-      for (const auto& rr : result.answers) {
-        ttl = std::min<util::SimTime>(ttl, rr.ttl);
-      }
-      answer_cache_[cache_key] = CachedAnswer{clock_.now() + ttl, result};
+      answer_cache_[cache_key] =
+          CachedAnswer{clock_.now() + cache_ttl(result.answers), result};
       return result;
     }
 

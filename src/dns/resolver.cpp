@@ -4,11 +4,11 @@
 
 namespace spfail::dns {
 
-namespace {
-
-constexpr util::SimTime kNegativeTtl = 300;
-
-}  // namespace
+util::SimTime cache_ttl(const std::vector<ResourceRecord>& answers) {
+  util::SimTime ttl = 300;
+  for (const auto& rr : answers) ttl = std::min<util::SimTime>(ttl, rr.ttl);
+  return ttl;
+}
 
 ResolveResult StubResolver::query(const Name& qname, RRType qtype) {
   const auto key = std::make_pair(qname, qtype);
@@ -32,11 +32,7 @@ ResolveResult StubResolver::query(const Name& qname, RRType qtype) {
   result.answers = response.answers;
 
   if (cache_enabled_) {
-    util::SimTime ttl = kNegativeTtl;
-    for (const auto& rr : result.answers) {
-      ttl = std::min<util::SimTime>(ttl, rr.ttl);
-    }
-    cache_[key] = CacheEntry{clock_.now() + ttl, result};
+    cache_[key] = CacheEntry{clock_.now() + cache_ttl(result.answers), result};
   }
   return result;
 }

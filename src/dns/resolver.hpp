@@ -22,6 +22,10 @@ struct ResolveResult {
   bool ok() const noexcept { return rcode == Rcode::NoError; }
 };
 
+// How long the stub, forwarder and recursive answer caches keep a response:
+// its smallest answer TTL, or 300 s when it has no answer (negative caching).
+util::SimTime cache_ttl(const std::vector<ResourceRecord>& answers);
+
 class StubResolver {
  public:
   // `clock` and `service` must outlive the resolver.

@@ -61,7 +61,9 @@ Name resolve_name(const std::string& token, const Name& origin,
   }
 }
 
-std::uint32_t parse_u32(const std::string& token, std::size_t line_no) {
+// A decimal in [0, max]; anything else throws naming the line.
+std::uint32_t parse_u32(const std::string& token, std::size_t line_no,
+                        std::uint32_t max = 0xFFFFFFFFU) {
   std::uint64_t value = 0;
   if (token.empty()) {
     throw ZoneFileError("line " + std::to_string(line_no) + ": empty number");
@@ -72,7 +74,7 @@ std::uint32_t parse_u32(const std::string& token, std::size_t line_no) {
                           ": malformed number '" + token + "'");
     }
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    if (value > 0xFFFFFFFFULL) {
+    if (value > max) {
       throw ZoneFileError("line " + std::to_string(line_no) +
                           ": number out of range");
     }
@@ -176,7 +178,7 @@ Zone parse_zone_text(std::string_view text, const Name& default_origin) {
       need(2);
       MxRdata mx;
       mx.preference = static_cast<std::uint16_t>(
-          parse_u32(tokens[field], line_no));
+          parse_u32(tokens[field], line_no, 0xFFFF));
       mx.exchange = resolve_name(tokens[field + 1], origin, line_no);
       record.type = RRType::MX;
       record.rdata = mx;

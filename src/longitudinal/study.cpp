@@ -129,7 +129,7 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
   // read-only.
   const scan::LabelAllocator& labels = *state.labels;
   state.report.degradation.merge(batch_.run(
-      *state.pool, util::StealMode::Auto, jobs.size(), 1,
+      *state.pool, jobs.size(), 1,
       [&](scan::Prober& prober, scan::ProbeSlice& slice, std::size_t begin,
           std::size_t end) {
         for (std::size_t j = begin; j < end; ++j) {

@@ -8,6 +8,7 @@
 
 #include "util/intern.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spfail::scan {
 
@@ -298,7 +299,7 @@ CampaignReport Campaign::run(const TargetSource& targets) {
     return host;
   };
   report.degradation.merge(batch_.run(
-      pool, config_.steal, n, 2,
+      pool, n, 2,
       [&](Prober& prober, ProbeSlice& slice, std::size_t begin,
           std::size_t end) {
         std::vector<std::size_t> want_blankmsg;
@@ -367,7 +368,7 @@ CampaignReport Campaign::run(const TargetSource& targets) {
       // that wants the message-bearing test gets the wave-2 treatment
       // inline. A missing host is skipped without charging the clock.
       report.degradation.merge(batch_.run(
-          pool, config_.steal, requeue.size(), 1,
+          pool, requeue.size(), 1,
           [&](Prober& prober, ProbeSlice& slice, std::size_t begin,
               std::size_t end) {
             for (std::size_t j = begin; j < end; ++j) {

@@ -30,7 +30,6 @@
 #include "scan/probe_batch.hpp"
 #include "scan/probe_engine.hpp"
 #include "scan/prober.hpp"
-#include "util/thread_pool.hpp"
 
 namespace spfail::scan {
 
@@ -135,10 +134,6 @@ struct CampaignConfig {
   // Real worker threads for the sharded scan. 0 resolves SPFAIL_THREADS /
   // hardware concurrency; the report is bit-identical at any count.
   int threads = 0;
-  // How idle workers steal batches of a wave (DESIGN.md §16). Tests force
-  // None or Adversarial here; the output is byte-identical at any thread
-  // count, under any steal schedule.
-  util::StealMode steal = util::StealMode::Auto;
 
   // --- fault injection & resilience (inert at the default rate 0) ---
   faults::FaultConfig faults;

@@ -18,12 +18,11 @@ ProbeBatch::ProbeBatch(ProberConfig prober, dns::AuthoritativeServer& server,
       metrics_(metrics) {}
 
 faults::DegradationReport ProbeBatch::run(util::ThreadPool& pool,
-                                          util::StealMode steal, std::size_t n,
-                                          std::size_t passes,
+                                          std::size_t n, std::size_t passes,
                                           const Body& body) const {
   std::vector<ProbeSlice> slices(pool.batch_count(n));
   pool.parallel_for_batches(
-      n, steal, [&](std::size_t batch, std::size_t begin, std::size_t end) {
+      n, [&](std::size_t batch, std::size_t begin, std::size_t end) {
         ProbeSlice& slice = slices[batch];
         if (trace_ != nullptr) slice.traces.resize(passes);
         util::SimClock::Lane clock_lane(clock_);

@@ -46,7 +46,7 @@ class ProbeBatch {
              util::SimClock& clock, net::WireTrace* trace,
              obs::Registry* metrics);
 
-  // Run `body` over every batch pool.parallel_for_batches(n, steal, …) cuts
+  // Run `body` over every batch pool.parallel_for_batches(n, …) cuts
   // from [0, n), each under a SimClock lane, a LogLane over the slice's log
   // and (with a registry attached) a MetricsLane, with one Transport and one
   // Prober per slice. Then merge once, in batch order: advance the shared
@@ -55,9 +55,8 @@ class ProbeBatch {
   // pass-major (every slice's pass 0, then every slice's pass 1). The
   // output is therefore independent of the thread count and of which worker
   // ran which batch. Returns the slices' merged degradation counters.
-  faults::DegradationReport run(util::ThreadPool& pool, util::StealMode steal,
-                                std::size_t n, std::size_t passes,
-                                const Body& body) const;
+  faults::DegradationReport run(util::ThreadPool& pool, std::size_t n,
+                                std::size_t passes, const Body& body) const;
 
  private:
   ProberConfig prober_;

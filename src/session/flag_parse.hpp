@@ -45,12 +45,16 @@ inline int parse_int(std::string_view what, const char* text) {
   return static_cast<int>(v);
 }
 
+// strtoull skips leading blanks and negates a '-', so " -1" would wrap to
+// 2^64 - 1: the text must start with a digit.
 inline std::uint64_t parse_u64(std::string_view what, const char* text) {
   char* end = nullptr;
   errno = 0;
-  if (*text == '-') reject_value(what, text, "a non-negative integer");
+  if (*text < '0' || *text > '9') {
+    reject_value(what, text, "a non-negative integer");
+  }
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
+  if (*end != '\0' || errno == ERANGE) {
     reject_value(what, text, "a non-negative integer");
   }
   return static_cast<std::uint64_t>(v);

@@ -49,11 +49,10 @@ void ScanConfig::validate() const {
       throw ScanConfigError("--scenario: " + std::string(error.what()));
     }
   }
-  // The thread pool reads these two itself, mid-run; parse them now, and
-  // SPFAIL_THREADS only when the pool will read it (threads == 0).
+  // The thread pool reads SPFAIL_THREADS itself, mid-run, when
+  // threads == 0; parse it now.
   try {
     if (threads == 0) util::resolve_thread_count(0);
-    util::resolve_steal_mode(util::StealMode::Auto);
   } catch (const std::invalid_argument& error) {
     throw ScanConfigError(error.what());
   }

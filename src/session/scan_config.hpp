@@ -68,8 +68,8 @@ struct ScanConfig {
 
   // Environment over `defaults`: every SPFAIL_* variable named in the flag
   // registry (session/flag_registry.hpp — the registry is the single source
-  // of truth for the flag/env surface). (SPFAIL_THREADS and the SPFAIL_STEAL
-  // test hook are read by the thread pool itself; validate() checks them.)
+  // of truth for the flag/env surface). (SPFAIL_THREADS is read by the
+  // thread pool itself; validate() checks it.)
   // Throws ScanConfigError on malformed or out-of-range values.
   static ScanConfig from_env(const ScanConfig& defaults);
   static ScanConfig from_env();
@@ -82,9 +82,9 @@ struct ScanConfig {
   static ScanConfig from_args(int argc, const char* const* argv);
 
   // Range checks shared by both builders (callers constructing a ScanConfig
-  // by hand can run them too), plus a parse of the two variables the thread
-  // pool reads outside the registry (SPFAIL_THREADS when threads == 0,
-  // SPFAIL_STEAL), so a malformed value fails here instead of inside a wave.
+  // by hand can run them too), plus a parse of SPFAIL_THREADS when
+  // threads == 0 (the one variable the thread pool reads outside the
+  // registry), so a malformed value fails here instead of inside a wave.
   // Throws ScanConfigError.
   void validate() const;
 

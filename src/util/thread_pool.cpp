@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -107,14 +108,14 @@ void ThreadPool::await_and_rethrow(Completion& completion, std::size_t count,
 }
 
 void ThreadPool::parallel_for_batches(
-    std::size_t n, StealMode steal,
+    std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   const std::size_t batches = batch_count(n);
   if (batches == 0) return;
 
   const std::size_t participants =
       batches < workers_.size() ? batches : workers_.size();
-  BatchScheduler scheduler(batches, participants, resolve_steal_mode(steal));
+  std::atomic<std::size_t> cursor{0};
 
   std::vector<std::exception_ptr> errors(batches);
   Completion completion;
@@ -134,10 +135,8 @@ void ThreadPool::parallel_for_batches(
     const std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < participants; ++i) {
       queue_.push_back([&] {
-        const std::size_t me = scheduler.claim_worker();
-        for (;;) {
-          const std::size_t b = scheduler.next(me);
-          if (b == BatchScheduler::kNone) break;
+        for (std::size_t b = cursor.fetch_add(1); b < batches;
+             b = cursor.fetch_add(1)) {
           const auto [begin, end] = bounds(b);
           try {
             fn(b, begin, end);

@@ -4,8 +4,8 @@
 // it holds 250 concurrent SMTP connections; the reproduction gets the same
 // effect from real threads. Batches are contiguous slices of an
 // address-sorted work list, so results can be merged back in address order
-// and the output is bit-identical at any thread count (see DESIGN.md,
-// "Concurrency model" and §16).
+// and the output is bit-identical at any thread count and under any
+// schedule (see DESIGN.md, "Concurrency model" and §16).
 //
 // Thread count resolution: an explicit request wins; otherwise the
 // SPFAIL_THREADS environment variable; otherwise the hardware concurrency.
@@ -19,14 +19,17 @@
 #include <thread>
 #include <vector>
 
-#include "util/work_steal.hpp"
-
 namespace spfail::util {
 
 // The largest thread count a caller may request. A count above it is an
 // input error, never a pool of that many OS threads: ScanConfig::validate
 // rejects --threads, SPFAIL_THREADS and the svc `threads` key past it.
 inline constexpr int kMaxThreads = 256;
+
+// Batches per worker: enough slack that a worker freed early picks up the
+// remaining batches of a skewed wave, few enough that per-batch lane setup
+// stays in the noise.
+inline constexpr std::size_t kBatchesPerWorker = 8;
 
 // `requested` <= 0 means "resolve from the environment": SPFAIL_THREADS if
 // set and positive, else std::thread::hardware_concurrency(), else 1. Unset,
@@ -55,15 +58,15 @@ class ThreadPool {
   }
 
   // Partition [0, n) into batch_count(n) contiguous, near-equal batches and
-  // run fn(batch, begin, end) for each under the work-stealing scheduler
-  // (DESIGN.md §16): each worker drains its preloaded deque and then steals
-  // per `steal` (Auto resolves SPFAIL_STEAL). Results must be recorded into
-  // slot `batch` — merging slots in batch order is what keeps the output
-  // independent of which worker ran what. Blocks until every batch finished; if any batch threw,
+  // run fn(batch, begin, end) for each (DESIGN.md §16): every participating
+  // worker claims the next batch index from one shared cursor until the
+  // range is spent. Results must be recorded into slot `batch` — merging
+  // slots in batch order is what keeps the output independent of which
+  // worker ran what. Blocks until every batch finished; if any batch threw,
   // rethrows the first exception (in batch order) after logging every
   // suppressed one to stderr. An empty range returns immediately.
   void parallel_for_batches(
-      std::size_t n, StealMode steal,
+      std::size_t n,
       const std::function<void(std::size_t batch, std::size_t begin,
                                std::size_t end)>& fn);
 

@@ -418,6 +418,9 @@ TEST(ScanConfigArgs, RejectsMalformedNumericsInsteadOfCoercing) {
   EXPECT_THROW(parse({"--fault-rate", "-0.1"}), session::ScanConfigError);
   EXPECT_THROW(parse({"--fault-rate", "1.01"}), session::ScanConfigError);
   EXPECT_THROW(parse({"--fault-seed", "-1"}), session::ScanConfigError);
+  // strtoull skips leading blanks before negating; these wrapped to 2^64 - n.
+  EXPECT_THROW(parse({"--fault-seed", " -1"}), session::ScanConfigError);
+  EXPECT_THROW(parse({"--seed", "\t-5"}), session::ScanConfigError);
   EXPECT_THROW(parse({"--seed", ""}), session::ScanConfigError);
   EXPECT_THROW(parse({"--checkpoint-every", "0"}), session::ScanConfigError);
 }
@@ -453,9 +456,9 @@ TEST(ScanConfigArgs, RejectsMalformedEnvironment) {
   ::unsetenv("SPFAIL_FAULT_RATE");
   EXPECT_NO_THROW(session::ScanConfig::from_env());
 
-  // The two variables the thread pool reads outside the registry are checked
-  // when the config is validated, naming the variable, instead of being
-  // truncated ("2x" used to run on 2 threads) or ignored ("abc" on all
+  // SPFAIL_THREADS, which the thread pool reads outside the registry, is
+  // checked when the config is validated, naming the variable, instead of
+  // being truncated ("2x" used to run on 2 threads) or ignored ("abc" on all
   // cores). Unset or empty keeps the default.
   const auto rejects = [](const char* name, const char* value) {
     ::setenv(name, value, 1);
@@ -475,7 +478,6 @@ TEST(ScanConfigArgs, RejectsMalformedEnvironment) {
   // asked for that many OS threads.
   rejects("SPFAIL_THREADS", "100000");
   rejects("SPFAIL_THREADS", "257");
-  rejects("SPFAIL_STEAL", "greedy");
   // A hand-built config (the ScanSession and svc JobSpec path) runs the
   // same check.
   ::setenv("SPFAIL_THREADS", "2x", 1);
@@ -506,11 +508,6 @@ TEST(ScanConfigArgs, RejectsMalformedEnvironment) {
     EXPECT_NO_THROW(session::ScanConfig::from_env()) << fine;
   }
   ::unsetenv("SPFAIL_THREADS");
-  for (const char* fine : {"", "none", "adversarial"}) {
-    ::setenv("SPFAIL_STEAL", fine, 1);
-    EXPECT_NO_THROW(session::ScanConfig::from_env()) << fine;
-  }
-  ::unsetenv("SPFAIL_STEAL");
 }
 
 }  // namespace

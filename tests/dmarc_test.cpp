@@ -53,6 +53,11 @@ TEST(DmarcParse, Errors) {
   EXPECT_THROW(parse_record("v=DMARC1"), RecordSyntaxError);  // missing p
   EXPECT_THROW(parse_record("v=DMARC1; p=bogus"), RecordSyntaxError);
   EXPECT_THROW(parse_record("v=DMARC1; p=reject; pct=101"), RecordSyntaxError);
+  // pct is 1*3DIGIT: this one used to overflow int and wrap to pct=1, and an
+  // empty value read as 0.
+  EXPECT_THROW(parse_record("v=DMARC1; p=reject; pct=4294967297"),
+               RecordSyntaxError);
+  EXPECT_THROW(parse_record("v=DMARC1; p=reject; pct="), RecordSyntaxError);
   EXPECT_THROW(parse_record("v=DMARC1; p=reject; aspf=x"), RecordSyntaxError);
   EXPECT_THROW(parse_record("v=DMARC1; junk; p=reject"), RecordSyntaxError);
 }

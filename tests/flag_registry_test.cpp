@@ -46,21 +46,20 @@ TEST(FlagRegistry, FlagsAndEnvVarsAreUniqueAndDocumented) {
         "--halt-after-rounds"}) {
     EXPECT_TRUE(flags.contains(flag)) << flag << " missing from registry";
   }
-  // The deleted scheduler, fleet-lane, scenario-replay and intern-section
-  // knobs stay deleted.
+  // The deleted scheduler, work-stealing, fleet-lane, scenario-replay and
+  // intern-section knobs stay deleted.
   for (const char* flag : {"--sched", "--steal-mode", "--lazy-hosts",
                            "--scenario-rounds", "--checkpoint-strings"}) {
     EXPECT_FALSE(flags.contains(flag)) << flag << " is back in the registry";
   }
-  for (const char* env : {"SPFAIL_SCHED", "SPFAIL_LAZY_HOSTS",
+  for (const char* env : {"SPFAIL_SCHED", "SPFAIL_STEAL", "SPFAIL_LAZY_HOSTS",
                           "SPFAIL_SCENARIO_ROUNDS",
                           "SPFAIL_CHECKPOINT_STRINGS"}) {
     EXPECT_FALSE(envs.contains(env)) << env << " is back in the registry";
   }
-  // SPFAIL_THREADS and SPFAIL_STEAL are deliberately absent: the thread
-  // pool resolves them itself, so the registry must not also consume them.
+  // SPFAIL_THREADS is deliberately absent: the thread pool resolves it
+  // itself, so the registry must not also consume it.
   EXPECT_FALSE(envs.contains("SPFAIL_THREADS"));
-  EXPECT_FALSE(envs.contains("SPFAIL_STEAL"));
   EXPECT_TRUE(envs.contains("SPFAIL_SCENARIO"));
 }
 

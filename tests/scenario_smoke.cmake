@@ -1,7 +1,6 @@
 # End-to-end --scenario smoke test, run as a ctest entry (DESIGN.md §17):
 #   1. each built-in scenario, initial-only, at --threads 1 vs --threads 8
-#      under the adversarial stealer (forced through the SPFAIL_STEAL test
-#      hook) — stdout must be byte-identical
+#      — stdout must be byte-identical
 #   2. --scenario baseline vs no flag at all — byte-identical (the control
 #      stages nothing and prints nothing extra)
 #   3. a composed full-study run (forwarding,misconfig) halted at a mid-study
@@ -16,10 +15,9 @@ endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# SCAN_PREFIX, when set, is prepended to the command (an env wrapper).
 function(run_scan out_file)
   execute_process(
-    COMMAND ${SCAN_PREFIX} "${SPFAIL_SCAN}" ${ARGN}
+    COMMAND "${SPFAIL_SCAN}" ${ARGN}
     WORKING_DIRECTORY "${WORK_DIR}"
     OUTPUT_FILE "${out_file}"
     RESULT_VARIABLE rc)
@@ -39,12 +37,10 @@ endfunction()
 
 set(FLAGS --scale 0.01 --initial-only)
 
-# 1. Per-scenario thread/scheduler determinism.
+# 1. Per-scenario thread determinism.
 foreach(name baseline forwarding alignment misconfig)
   run_scan("${name}_t1.out" ${FLAGS} --scenario ${name} --threads 1)
-  set(SCAN_PREFIX "${CMAKE_COMMAND}" -E env SPFAIL_STEAL=adversarial)
   run_scan("${name}_t8.out" ${FLAGS} --scenario ${name} --threads 8)
-  unset(SCAN_PREFIX)
   expect_same("${name}_t1.out" "${name}_t8.out"
               "scenario '${name}' output is thread-dependent")
 endforeach()

@@ -1,11 +1,16 @@
 // The sharded scan engine: ThreadPool mechanics, and the load-bearing
-// guarantee that reports are bit-identical at any thread count.
+// guarantee that reports are bit-identical at any thread count and under
+// any batch schedule. The tsan_concurrency ctest entry re-runs this file
+// under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "longitudinal/study.hpp"
@@ -35,21 +40,73 @@ TEST(ThreadPool, ResolveThreadCountPrefersExplicitRequest) {
   EXPECT_GE(util::resolve_thread_count(0), 1u);
 }
 
-TEST(ThreadPool, CoversFullRangeExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  const std::size_t n = 1003;
-  std::vector<std::atomic<int>> touched(n);
-  for (auto& t : touched) t = 0;
-  pool.parallel_for_batches(n, {}, [&](std::size_t batch, std::size_t begin,
-                                      std::size_t end) {
-    EXPECT_LT(batch, pool.batch_count(n));
-    EXPECT_LE(begin, end);
-    for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(touched[i].load(), 1) << "index " << i;
+// Waits up to ten seconds for `flag`; true once it is set. The bound keeps
+// a broken dispatcher a test failure, not a hang.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
   }
+  return true;
+}
+
+TEST(ThreadPool, CoversFullRangeExactlyOnce) {
+  for (const int threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    EXPECT_EQ(pool.thread_count(), static_cast<std::size_t>(threads));
+    const std::size_t n = 1003;
+    std::vector<std::atomic<int>> touched(n);
+    for (auto& t : touched) t = 0;
+    pool.parallel_for_batches(n, [&](std::size_t batch, std::size_t begin,
+                                     std::size_t end) {
+      EXPECT_LT(batch, pool.batch_count(n));
+      EXPECT_LT(begin, end);
+      for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(touched[i].load(), 1) << "index " << i << " threads "
+                                      << threads;
+    }
+  }
+}
+
+TEST(ThreadPool, BatchOrderMergeIsScheduleInvariant) {
+  // The index-addressed contract: results land in slot `batch`, the merge
+  // walks slots in order, so the merged sequence is identical no matter
+  // which worker ran what. `hold_first` forces an out-of-order schedule
+  // from inside the body: batch 0 finishes only after the last batch has.
+  const auto merged = [](int threads, bool hold_first) {
+    util::ThreadPool pool(threads);
+    const std::size_t n = 509;
+    const std::size_t batches = pool.batch_count(n);
+    std::vector<std::vector<std::size_t>> slots(batches);
+    std::atomic<bool> last_done{false};
+    pool.parallel_for_batches(
+        n, [&](std::size_t batch, std::size_t begin, std::size_t end) {
+          if (hold_first && batch == 0) {
+            EXPECT_TRUE(wait_for(last_done));
+          }
+          for (std::size_t i = begin; i < end; ++i) {
+            slots[batch].push_back(i * i);
+          }
+          if (batch + 1 == batches) last_done.store(true);
+        });
+    std::vector<std::size_t> out;
+    for (const auto& slot : slots) {
+      out.insert(out.end(), slot.begin(), slot.end());
+    }
+    return out;
+  };
+  const auto baseline = merged(1, false);
+  std::vector<std::size_t> expected(509);
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i * i;
+  EXPECT_EQ(baseline, expected);
+  EXPECT_EQ(baseline, merged(2, false));
+  EXPECT_EQ(baseline, merged(8, false));
+  EXPECT_EQ(baseline, merged(2, true));
+  EXPECT_EQ(baseline, merged(8, true));
 }
 
 TEST(ThreadPool, ShardCountNeverExceedsItemsOrWorkers) {
@@ -63,7 +120,7 @@ TEST(ThreadPool, ShardCountNeverExceedsItemsOrWorkers) {
 TEST(ThreadPool, EmptyRangeDoesNotInvoke) {
   util::ThreadPool pool(2);
   std::atomic<int> calls{0};
-  pool.parallel_for_batches(0, {}, [&](std::size_t, std::size_t, std::size_t) {
+  pool.parallel_for_batches(0, [&](std::size_t, std::size_t, std::size_t) {
     calls.fetch_add(1);
   });
   EXPECT_EQ(calls.load(), 0);
@@ -72,7 +129,7 @@ TEST(ThreadPool, EmptyRangeDoesNotInvoke) {
 TEST(ThreadPool, PropagatesWorkerExceptions) {
   util::ThreadPool pool(4);
   EXPECT_THROW(
-      pool.parallel_for_batches(100, {},
+      pool.parallel_for_batches(100,
                                 [&](std::size_t batch, std::size_t,
                                     std::size_t) {
                                   if (batch == 2) {
@@ -83,8 +140,8 @@ TEST(ThreadPool, PropagatesWorkerExceptions) {
   // When several batches throw, the lowest batch's exception wins — a
   // deterministic choice, not a race.
   try {
-    pool.parallel_for_batches(100, {}, [&](std::size_t batch, std::size_t,
-                                           std::size_t) {
+    pool.parallel_for_batches(100, [&](std::size_t batch, std::size_t,
+                                       std::size_t) {
       throw std::runtime_error("batch " + std::to_string(batch));
     });
     FAIL() << "expected an exception";
@@ -93,19 +150,64 @@ TEST(ThreadPool, PropagatesWorkerExceptions) {
   }
   // The pool survives worker exceptions and stays usable.
   std::atomic<int> sum{0};
-  pool.parallel_for_batches(10, {}, [&](std::size_t, std::size_t begin,
-                                        std::size_t end) {
+  pool.parallel_for_batches(10, [&](std::size_t, std::size_t begin,
+                                    std::size_t end) {
     sum.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(sum.load(), 10);
+}
+
+TEST(ThreadPool, SuppressedBatchErrorsAreLoggedFirstWins) {
+  // Only the first exception is rethrown; every later error reaches stderr
+  // before it, so a multi-batch failure never narrows silently to one.
+  util::ThreadPool pool(4);
+  testing::internal::CaptureStderr();
+  try {
+    pool.parallel_for_batches(
+        32, [&](std::size_t batch, std::size_t, std::size_t) {
+          if (batch == 3 || batch == 7) {
+            throw std::runtime_error("batch " + std::to_string(batch) +
+                                     " died");
+          }
+        });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "batch 3 died");
+  }
+  const std::string logged = testing::internal::GetCapturedStderr();
+  EXPECT_NE(logged.find("suppressed error"), std::string::npos);
+  EXPECT_NE(logged.find("batch 7 died"), std::string::npos);
+  // "First" is by batch index, not by which worker threw first: batch 2
+  // throws only after batch 3 has, which another worker runs (the cursor
+  // hands batch 3 on while batch 2 waits).
+  std::atomic<bool> three_thrown{false};
+  bool two_waited = false;
+  testing::internal::CaptureStderr();
+  try {
+    pool.parallel_for_batches(
+        100, [&](std::size_t batch, std::size_t, std::size_t) {
+          if (batch == 2) two_waited = wait_for(three_thrown);
+          if (batch >= 2) {
+            if (batch == 3) three_thrown.store(true);
+            throw std::runtime_error("batch " + std::to_string(batch));
+          }
+        });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "batch 2");
+  }
+  const std::string out_of_order = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(two_waited);
+  EXPECT_NE(out_of_order.find("suppressed error"), std::string::npos);
+  EXPECT_NE(out_of_order.find("batch 3"), std::string::npos);
 }
 
 TEST(ThreadPool, CleanShutdownAfterWork) {
   for (int round = 0; round < 8; ++round) {
     util::ThreadPool pool(3);
     std::atomic<int> sum{0};
-    pool.parallel_for_batches(17, {}, [&](std::size_t, std::size_t begin,
-                                          std::size_t end) {
+    pool.parallel_for_batches(17, [&](std::size_t, std::size_t begin,
+                                      std::size_t end) {
       sum.fetch_add(static_cast<int>(end - begin));
     });
     EXPECT_EQ(sum.load(), 17);
@@ -295,6 +397,49 @@ TEST(ThreadDeterminism, LazyStreamingCampaignBitIdenticalAcrossThreadCounts) {
     const std::string report = run_campaign(threads);
     EXPECT_EQ(report.size(), kResidentLength) << "threads=" << threads;
     EXPECT_EQ(util::fnv1a(report), kResidentDigest) << "threads=" << threads;
+  }
+}
+
+TEST(ThreadDeterminism, CampaignMatchesStaticSchedulerDigestAnyThreads) {
+  // fnv1a and length of the 1-thread run under the one-slice-per-worker
+  // static scheduler, captured before that scheduler was deleted. The
+  // batch cursor must reproduce it at any thread count.
+  constexpr std::uint64_t kStaticDigest = 3290130814725409056ULL;
+  constexpr std::size_t kStaticLength = 239241;
+  const auto run_campaign = [](int threads) {
+    population::FleetConfig config;
+    config.scale = 0.02;
+    config.seed = 7;
+    population::Fleet fleet(config);
+    scan::CampaignConfig campaign_config;
+    campaign_config.prober.responder = fleet.responder();
+    campaign_config.threads = threads;
+    campaign_config.faults.seed = 42;
+    scan::Campaign campaign(campaign_config, fleet.dns(), fleet.clock(),
+                            fleet);
+    const scan::CampaignReport report = campaign.run(fleet.targets());
+    std::ostringstream out;
+    out << "suite=" << report.suite_label << "\n";
+    for (const scan::AddressOutcome* outcome : report.sorted_outcomes()) {
+      out << outcome->address.to_string() << " v="
+          << to_string(outcome->verdict) << " pa=" << outcome->probe_attempts
+          << " ru=" << outcome->retries_used << "\n";
+    }
+    for (const auto& domain : report.domains) {
+      out << domain.domain << " v=" << domain.vulnerable << "\n";
+    }
+    const faults::DegradationReport& deg = report.degradation;
+    out << "deg pa=" << deg.probe_attempts << " inj=" << deg.injected_total()
+        << " bt=" << deg.breaker_trips << " rq=" << deg.requeued
+        << " rr=" << deg.requeue_recovered << "\n";
+    out << "clock=" << fleet.clock().now()
+        << " queries=" << fleet.dns().query_log().size() << "\n";
+    return out.str();
+  };
+  for (const int threads : {1, 2, 8}) {
+    const std::string report = run_campaign(threads);
+    EXPECT_EQ(report.size(), kStaticLength) << "threads=" << threads;
+    EXPECT_EQ(util::fnv1a(report), kStaticDigest) << "threads=" << threads;
   }
 }
 

@@ -119,6 +119,13 @@ TEST(ZoneFile, Errors) {
   EXPECT_THROW(parse_zone_text("@ IN A not-an-ip", kOrigin), ZoneFileError);
   EXPECT_THROW(parse_zone_text("@ IN AAAA 192.0.2.1", kOrigin), ZoneFileError);
   EXPECT_THROW(parse_zone_text("@ IN MX 10", kOrigin), ZoneFileError);
+  // The preference is 16 bits; 65536 used to load as 0 and 70000 as 4464.
+  EXPECT_THROW(parse_zone_text("@ IN MX 65536 mx1", kOrigin), ZoneFileError);
+  EXPECT_THROW(parse_zone_text("@ IN MX 70000 mx1", kOrigin), ZoneFileError);
+  const auto top = parse_zone_text("@ IN MX 65535 mx1", kOrigin)
+                       .lookup(kOrigin, RRType::MX);
+  ASSERT_EQ(top.records.size(), 1u);
+  EXPECT_EQ(std::get<MxRdata>(top.records[0].rdata).preference, 65535);
   EXPECT_THROW(parse_zone_text("@ IN FROB x", kOrigin), ZoneFileError);
   EXPECT_THROW(parse_zone_text("@ IN", kOrigin), ZoneFileError);
   EXPECT_THROW(parse_zone_text("@ IN TXT \"unterminated", kOrigin),
@@ -136,6 +143,12 @@ TEST(ZoneFile, ErrorMessagesCarryLineNumbers) {
     FAIL() << "expected ZoneFileError";
   } catch (const ZoneFileError& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+  }
+  try {
+    parse_zone_text("@ IN MX 10 mx1\n@ IN MX 65536 mx2", kOrigin);
+    FAIL() << "expected ZoneFileError";
+  } catch (const ZoneFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
 }
 
