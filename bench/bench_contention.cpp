@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "session/flag_parse.hpp"
 #include "spf/record_cache.hpp"
 #include "util/concurrent_table.hpp"
 #include "util/table.hpp"
@@ -173,7 +174,9 @@ CacheRates measure_cache(int threads, const std::vector<std::string>& texts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Every numeric flag goes through the strict session parsers: a malformed
+// value exits 2 with the parser's message instead of running as 0.
+int main(int argc, char** argv) try {
   std::string out_path = "BENCH_contention.json";
   std::uint64_t keys = 1 << 16;  // distinct table keys per lane
   int rounds = 8;                // hit-path sweeps per thread
@@ -191,13 +194,13 @@ int main(int argc, char** argv) {
     if (arg == "--out") {
       out_path = next();
     } else if (arg == "--keys") {
-      keys = std::strtoull(next(), nullptr, 10);
+      keys = session::parse_u64(arg, next());
     } else if (arg == "--rounds") {
-      rounds = static_cast<int>(std::strtol(next(), nullptr, 10));
+      rounds = session::parse_int(arg, next());
     } else if (arg == "--items") {
-      items = std::strtoull(next(), nullptr, 10);
+      items = session::parse_u64(arg, next());
     } else if (arg == "--spin") {
-      spin = static_cast<int>(std::strtol(next(), nullptr, 10));
+      spin = session::parse_int(arg, next());
     } else {
       std::cerr << "unknown option " << arg
                 << " (expected --out PATH, --keys N, --rounds N, --items N, "
@@ -292,4 +295,7 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::cout << "(json written to " << out_path << ")\n";
   return 0;
+} catch (const session::ScanConfigError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }

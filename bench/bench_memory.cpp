@@ -29,6 +29,7 @@
 
 #include "population/fleet.hpp"
 #include "scan/campaign.hpp"
+#include "session/flag_parse.hpp"
 #include "util/table.hpp"
 
 // ----------------------------------------------------------- counting new
@@ -80,10 +81,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The counting operator new above is malloc-backed by design, so std::free
+// is the matching release. Inlined into a caller, GCC sees only the pair
+// `new` / `free` and warns; the warning is silenced for this operator alone.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* ptr) noexcept {
   note_free(ptr);
   std::free(ptr);
 }
+#pragma GCC diagnostic pop
 
 void operator delete[](void* ptr) noexcept { ::operator delete(ptr); }
 void operator delete(void* ptr, std::size_t) noexcept { ::operator delete(ptr); }
@@ -236,7 +243,9 @@ void write_json(const std::string& path, double scale, const FleetResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Every numeric flag goes through the strict session parsers: a malformed
+// value exits 2 with the parser's message instead of running as 0.
+int main(int argc, char** argv) try {
   double scale = 0.05;
   std::string out_path = "BENCH_memory.json";
   double budget_bytes_per_host = 0.0;  // 0 = no budget enforcement
@@ -250,11 +259,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scale") {
-      scale = std::strtod(next(), nullptr);
+      scale = session::parse_double(arg, next());
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--budget") {
-      budget_bytes_per_host = std::strtod(next(), nullptr);
+      budget_bytes_per_host = session::parse_double(arg, next());
     } else {
       std::cerr << "unknown option " << arg
                 << " (expected --scale S, --out PATH, --budget BYTES)\n";
@@ -304,4 +313,7 @@ int main(int argc, char** argv) {
               << " bytes/host\n";
   }
   return 0;
+} catch (const session::ScanConfigError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }

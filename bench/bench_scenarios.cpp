@@ -26,6 +26,7 @@
 #include "population/fleet.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "session/flag_parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -50,7 +51,9 @@ std::string fmt_window(const scenario::RateWindow& w) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Every numeric flag goes through the strict session parsers: a malformed
+// value exits 2 with the parser's message instead of running as 0.
+int main(int argc, char** argv) try {
   std::string out_path = "BENCH_scenarios.json";
   double scale = 0.02;
   std::uint64_t seed = 2021;
@@ -67,11 +70,11 @@ int main(int argc, char** argv) {
     if (arg == "--out") {
       out_path = next();
     } else if (arg == "--scale") {
-      scale = std::strtod(next(), nullptr);
+      scale = session::parse_double(arg, next());
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = session::parse_u64(arg, next());
     } else if (arg == "--max-domains") {
-      max_domains = std::strtoull(next(), nullptr, 10);
+      max_domains = session::parse_u64(arg, next());
     } else {
       std::cerr << "unknown option " << arg
                 << " (expected --out PATH, --scale S, --seed N, "
@@ -184,4 +187,7 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::cout << "(json written to " << out_path << ")\n";
   return all_ok ? 0 : 1;
+} catch (const session::ScanConfigError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }

@@ -23,6 +23,7 @@
 #include <iostream>
 #include <string>
 
+#include "session/flag_parse.hpp"
 #include "svc/service.hpp"
 
 namespace {
@@ -31,7 +32,9 @@ using namespace spfail;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Every numeric flag goes through the strict session parsers: a malformed
+// value exits 2 with the parser's message instead of running as 0.
+int main(int argc, char** argv) try {
   std::string out_path = "BENCH_svc.json";
   std::string work_dir = "bench_svc_work";
   double scale = 0.004;
@@ -51,11 +54,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--dir") {
       work_dir = next();
     } else if (arg == "--scale") {
-      scale = std::strtod(next(), nullptr);
+      scale = session::parse_double(arg, next());
     } else if (arg == "--jobs") {
-      jobs = std::strtoull(next(), nullptr, 10);
+      jobs = session::parse_u64(arg, next());
     } else if (arg == "--max-active") {
-      max_active = static_cast<int>(std::strtol(next(), nullptr, 10));
+      max_active = session::parse_int(arg, next());
     } else {
       std::cerr << "unknown option " << arg
                 << " (expected --out PATH, --dir DIR, --scale S, --jobs N, "
@@ -145,4 +148,7 @@ int main(int argc, char** argv) {
       << ", \"count\": " << wait.count() << "}\n}\n";
   std::cout << "(json written to " << out_path << ")\n";
   return 0;
+} catch (const session::ScanConfigError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }

@@ -85,18 +85,6 @@ using namespace spfail;
 
 namespace {
 
-void write_csv(const std::string& dir, const char* slug,
-               const util::TextTable& table) {
-  const std::string path = dir + "/" + slug + ".csv";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
-  }
-  table.to_csv(out);
-  std::cout << "  wrote " << path << "\n";
-}
-
 // Write the trace as JSONL and print its summary table.
 void emit_trace(const std::string& path, const net::WireTrace& trace) {
   std::ofstream out(path);
@@ -211,13 +199,14 @@ int run(const session::ScanConfig& config) {
 
   if (!config.csv_dir.empty()) {
     std::cout << "\nCSV export:\n";
-    write_csv(config.csv_dir, "fig5_conclusive",
-              report::fig5_conclusive_series(fleet, *report,
-                                             longitudinal::Cohort::All));
-    write_csv(config.csv_dir, "fig7_full",
-              report::fig67_vulnerability_series(fleet, *report, false));
-    write_csv(config.csv_dir, "fig2_final",
-              report::fig2_final_distribution(fleet, *report));
+    report::write_csv(config.csv_dir, "fig5_conclusive",
+                      report::fig5_conclusive_series(
+                          fleet, *report, longitudinal::Cohort::All));
+    report::write_csv(config.csv_dir, "fig7_full",
+                      report::fig67_vulnerability_series(fleet, *report,
+                                                         false));
+    report::write_csv(config.csv_dir, "fig2_final",
+                      report::fig2_final_distribution(fleet, *report));
   }
   return 0;
 }

@@ -22,7 +22,7 @@ Message CachingForwarder::handle(const Message& query,
   const auto key = std::make_pair(q.qname, q.qtype);
 
   const auto it = cache_.find(key);
-  if (it != cache_.end() && it->second.expires > clock_.now()) {
+  if (it != cache_.end() && it->second.expires > now) {
     ++cache_hits_;
     obs::count("dns_cache_total",
                {{"component", "forwarder"}, {"result", "hit"}});
@@ -57,7 +57,7 @@ Message CachingForwarder::handle(const Message& query,
   const Message response =
       transport_.exchange(upstream_, query, self_, upstream_endpoint_, client);
 
-  cache_[key] = Entry{clock_.now() + cache_ttl(response.answers), response};
+  cache_[key] = Entry{now + cache_ttl(response.answers), response};
   return response;
 }
 

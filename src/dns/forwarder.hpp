@@ -4,7 +4,7 @@
 // instead of directly at the authoritative server — queries it has seen
 // recently are answered from cache and never reach the authority. This is
 // precisely the measurement hazard §5.1's unique per-test labels neutralise,
-// and bench_ablation_labels quantifies it.
+// and spfail_repro's unique-label ablation quantifies it.
 #pragma once
 
 #include <map>
@@ -19,10 +19,10 @@ namespace spfail::dns {
 
 class CachingForwarder : public DnsService {
  public:
-  // `upstream` and `clock` must outlive the forwarder.
+  // `upstream` and `clock` must outlive the forwarder. The clock drives the
+  // upstream transport; cache expiry reads the `now` each query carries.
   CachingForwarder(DnsService& upstream, const util::SimClock& clock)
       : upstream_(upstream),
-        clock_(clock),
         transport_(clock),
         self_(net::Endpoint::named("forwarder")),
         upstream_endpoint_(net::Endpoint::named("upstream")) {}
@@ -54,7 +54,6 @@ class CachingForwarder : public DnsService {
   };
 
   DnsService& upstream_;
-  const util::SimClock& clock_;
   net::Transport transport_;
   net::Endpoint self_;
   net::Endpoint upstream_endpoint_;

@@ -3,7 +3,8 @@
 // Each simulated MTA owns a StubResolver pointing at the simulation's
 // authoritative service. The cache matters to the study design: the paper's
 // per-test unique labels exist precisely so that no recursive cache can
-// absorb the measurement queries (ablated in bench_ablation_labels).
+// absorb the measurement queries (ablated in spfail_repro's unique-label
+// ablation).
 #pragma once
 
 #include <map>

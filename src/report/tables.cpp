@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <fstream>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <set>
@@ -785,6 +787,18 @@ util::TextTable metrics_summary(const obs::Registry& registry,
     }
   }
   return table;
+}
+
+void write_csv(const std::string& dir, std::string_view slug,
+               const util::TextTable& table) {
+  const std::string path = dir + "/" + std::string(slug) + ".csv";
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "cannot write " << path << "\n";
+    return;
+  }
+  table.to_csv(out);
+  std::cout << "  wrote " << path << "\n";
 }
 
 }  // namespace spfail::report

@@ -2,11 +2,12 @@
 //
 // Each function takes the simulation artefacts (fleet, initial campaign
 // report, longitudinal study report) and returns the text table whose rows
-// mirror the paper's. The bench harness prints these; EXPERIMENTS.md records
-// paper-value vs measured-value per row.
+// mirror the paper's. spfail_repro prints them all, spfail_scan a subset;
+// EXPERIMENTS.md records paper-value vs measured-value per row.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "longitudinal/study.hpp"
 #include "net/trace_stats.hpp"
@@ -101,5 +102,11 @@ util::TextTable scenario_outcomes(
 // the registry's ordered-map iteration, so the table is deterministic.
 util::TextTable metrics_summary(const obs::Registry& registry,
                                 bool include_wall = false);
+
+// The --csv export of spfail_scan and spfail_repro: write `table` to
+// DIR/SLUG.csv and print "  wrote PATH" on stdout. A file that cannot be
+// opened is reported on stderr and skipped.
+void write_csv(const std::string& dir, std::string_view slug,
+               const util::TextTable& table);
 
 }  // namespace spfail::report

@@ -1,6 +1,6 @@
 // One configuration struct for every scan entry point (DESIGN.md §11).
 //
-// spfail_scan, the examples, and the bench harness used to each parse their
+// spfail_scan, the examples, and the bench programs used to each parse their
 // own flag/env subset with silent atof/atoi coercion (a typo like
 // `--threads x` quietly became 0). ScanConfig centralises the knobs:
 // from_env() resolves the SPFAIL_* environment over caller defaults,

@@ -3,8 +3,8 @@
 // ScanSession fronts the whole apparatus behind one object: it builds the
 // Fleet, owns the WireTrace when tracing is on, runs the initial campaign or
 // the longitudinal study, and drives the checkpoint/resume/halt protocol
-// from one ScanConfig. Callers (spfail_scan, the examples, ReproSession and
-// with it every bench) no longer assemble CampaignConfig/StudyConfig by
+// from one ScanConfig. Callers (spfail_scan, spfail_repro and the other
+// examples) no longer assemble CampaignConfig/StudyConfig by
 // hand, so every entry point agrees on seeds, fault plans, and trace wiring
 // — the precondition for a snapshot taken by one binary resuming in another.
 //
@@ -80,13 +80,16 @@ class ScanSession {
   // metrics_path + ".prom". No-op when metrics are off.
   void write_metrics_files();
 
-  // The 2021-10-11 initial measurement (cached). Honours resume: a
-  // Campaign-kind snapshot short-circuits the scan entirely. Writes a
-  // Campaign-kind checkpoint when configured and the campaign actually ran.
+  // The 2021-10-11 initial measurement (cached). After study(), this is the
+  // study's own initial campaign. Honours resume: a Campaign-kind snapshot
+  // short-circuits the scan entirely. Writes a Campaign-kind checkpoint when
+  // configured and the campaign actually ran.
   const scan::CampaignReport& initial();
 
   // The full longitudinal study (cached; runs the initial campaign
-  // internally — do not mix with initial() on one session). Returns nullptr
+  // internally — call it before initial() on a session that wants both, as
+  // spfail_repro does; a campaign initial() ran first would have probed the
+  // fleet the study then measures). Returns nullptr
   // when the run halted at a checkpoint (--halt-after-rounds) instead of
   // completing; halted() reports the same.
   const longitudinal::StudyReport* study();

@@ -7,7 +7,8 @@ namespace spfail::util {
 
 std::string format_date(SimTime t) {
   const CivilDate d = to_civil(t);
-  char buf[16];
+  // Sized for any int year, so the format can never truncate.
+  char buf[40];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", d.year, d.month, d.day);
   return buf;
 }
@@ -16,7 +17,7 @@ std::string format_datetime(SimTime t) {
   const CivilDate d = to_civil(t);
   std::int64_t secs = t % kDay;
   if (secs < 0) secs += kDay;
-  char buf[24];
+  char buf[48];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02lld:%02lld:%02lld", d.year,
                 d.month, d.day, static_cast<long long>(secs / kHour),
                 static_cast<long long>((secs / kMinute) % 60),

@@ -1,5 +1,5 @@
 // Small descriptive-statistics helpers and an ASCII sparkline used by the
-// bench harness to render figure series inline.
+// report renderers to draw figure series inline.
 #pragma once
 
 #include <span>

@@ -1,4 +1,4 @@
-// Plain-text table rendering used by the bench harness to print the paper's
+// Plain-text table rendering used by spfail_repro to print the paper's
 // tables and figure series in a diff-friendly fixed-width format. Columns
 // are sized and padded by display width (UTF-8 code points), so a cell of
 // sparkline blocks lines up with ASCII cells.
@@ -32,7 +32,7 @@ class TextTable {
   }
 
   // Emit the same data as RFC 4180 CSV (header row first, rules skipped) —
-  // the machine-readable form benches export for external plotting.
+  // the machine-readable form --csv exports for external plotting.
   void to_csv(std::ostream& os) const;
 
  private:
@@ -46,7 +46,7 @@ class TextTable {
   std::vector<Row> rows_;
 };
 
-// Minimal CSV writer (RFC 4180 quoting) so benches can also emit
+// Minimal CSV writer (RFC 4180 quoting) so callers can also emit
 // machine-readable series for external plotting.
 class CsvWriter {
  public:

@@ -324,7 +324,9 @@ TEST(ConcurrentTableRecordCache, SaturatedCacheUnderRacingThreadsNeverThrows) {
       EXPECT_EQ(now->text, probe_policy(i));
     }
     for (const auto& lane : seen) {
-      if (lane[i] != nullptr) EXPECT_EQ(lane[i], now) << "text " << i;
+      if (lane[i] != nullptr) {
+        EXPECT_EQ(lane[i], now) << "text " << i;
+      }
     }
   }
   EXPECT_EQ(admitted, cache.size());

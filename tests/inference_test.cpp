@@ -102,7 +102,9 @@ TEST_P(InferenceProperty, MeasurementsPreservedAndSpansConsistent) {
   bool saw_patched = false;
   for (const auto state : states) {
     if (is_patched(state)) saw_patched = true;
-    if (saw_patched) EXPECT_FALSE(is_vulnerable(state));
+    if (saw_patched) {
+      EXPECT_FALSE(is_vulnerable(state));
+    }
   }
 }
 

@@ -285,23 +285,27 @@ TEST_F(StudyTest, MajorityStillVulnerableAtEnd) {
   // The headline result: >80% of inferable domains remain vulnerable. At
   // this file's tiny 0.02 scale the figure is seed-noisy (a single patched
   // hosting pool moves it several points), so the test asserts the weaker
-  // two-thirds bound; bench_fig7_full at >=0.1 scale lands 82-88%.
+  // two-thirds bound; spfail_repro's Figure 7 at >=0.1 scale lands 82-88%.
   EXPECT_GT(static_cast<double>(counts.vulnerable) / counts.inferable, 0.66);
 }
 
 TEST_F(StudyTest, VulnerabilityIsMonotoneNonIncreasing) {
-  double previous = 1.1;
+  // A patched domain never reverts (the inference rules of section 7.6), so
+  // from one round to the next neither the patched count nor the patched
+  // share of inferable domains may fall.
+  std::size_t previous_patched = 0;
+  double previous_share = 0.0;
   for (std::size_t round = 0; round < report_->round_times.size(); ++round) {
     const auto counts =
         Study::domain_counts_at(*report_, *fleet_, round, Cohort::All);
+    EXPECT_GE(counts.patched, previous_patched) << "round " << round;
+    previous_patched = counts.patched;
     if (counts.inferable == 0) continue;
-    const double fraction =
+    const double share =
         static_cast<double>(counts.patched) / counts.inferable;
-    // Patched share never decreases by more than noise (the denominator
-    // shifts as hosts drop out, so allow small wiggle).
-    EXPECT_LT(fraction, 1.0);
-    EXPECT_GT(fraction, -0.001);
-    previous = fraction;
+    EXPECT_GE(share, previous_share) << "round " << round;
+    EXPECT_LT(share, 1.0);
+    previous_share = share;
   }
 }
 

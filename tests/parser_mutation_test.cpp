@@ -1,11 +1,12 @@
 // Mutation lanes for the text parsers: the zone file, the SPF record and
-// macro-string grammars, DMARC records and DKIM tag lists.
+// macro-string grammars, DMARC records, DKIM tag lists and mail messages.
 //
 // Each lane starts from one seed input that uses every construct its parser
 // knows, then feeds the parser seeded byte flips and every truncation of
 // that seed. Every mutant must parse or throw the parser's declared error
 // type; any other exception — or a sanitizer report in the asan_faults /
-// ubsan_net lanes — is a parser bug.
+// ubsan_net lanes — is a parser bug. The mail message parser declares no
+// error type, so its mutants must all parse, and re-parse to themselves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "dkim/dkim.hpp"
 #include "dmarc/record.hpp"
 #include "dns/zonefile.hpp"
+#include "mail/message.hpp"
 #include "spf/macro.hpp"
 #include "spf/record.hpp"
 #include "util/rng.hpp"
@@ -40,9 +42,11 @@ void parses_or_rejects(const Parse& parse, std::string_view text,
   }
 }
 
-// 1–4 seeded byte flips per case, then every truncation of the seed.
-template <typename Error, typename Parse>
-void mutate(const Parse& parse, std::string_view seed, std::uint64_t rng_seed) {
+// Calls check(mutant, label) for 1–4 seeded byte flips per case, then for
+// every truncation of the seed.
+template <typename Check>
+void for_each_mutant(std::string_view seed, std::uint64_t rng_seed,
+                     const Check& check) {
   util::Rng rng(rng_seed);
   for (int i = 0; i < kFlipCases; ++i) {
     std::string mutated(seed);
@@ -51,12 +55,19 @@ void mutate(const Parse& parse, std::string_view seed, std::uint64_t rng_seed) {
       mutated[rng.uniform(0, mutated.size() - 1)] ^=
           static_cast<char>(rng.uniform(1, 255));
     }
-    parses_or_rejects<Error>(parse, mutated, "flip case " + std::to_string(i));
+    check(mutated, "flip case " + std::to_string(i));
   }
   for (std::size_t cut = 0; cut <= seed.size(); ++cut) {
-    parses_or_rejects<Error>(parse, seed.substr(0, cut),
-                             "truncation at " + std::to_string(cut));
+    check(seed.substr(0, cut), "truncation at " + std::to_string(cut));
   }
+}
+
+template <typename Error, typename Parse>
+void mutate(const Parse& parse, std::string_view seed, std::uint64_t rng_seed) {
+  for_each_mutant(seed, rng_seed,
+                  [&](std::string_view text, const std::string& which) {
+                    parses_or_rejects<Error>(parse, text, which);
+                  });
 }
 
 // Directives, a comment, a blank owner, TTL and class in both orders,
@@ -142,6 +153,44 @@ TEST(ParserMutation, DkimSignatureParsesOrRejectsEveryMutant) {
   mutate<dkim::SignatureSyntaxError>(
       [](std::string_view text) { dkim::parse_signature(text); }, kDkimSeed,
       0xD1C1A);
+}
+
+// Folded headers (tab and space continuations), a display-name From, a
+// bare-LF line, a junk line without a colon and a multi-line body.
+constexpr std::string_view kMessageSeed =
+    "Received: from mx.example.net\r\n"
+    "\tby mail.example.com; Mon, 11 Oct 2021 09:00:00 +0000\r\n"
+    "From: \"Postmaster, Example\" <postmaster@Mail.Example.COM>\r\n"
+    "To: abuse@example.org\n"
+    "Subject: SPF macro\r\n"
+    "  expansion report\r\n"
+    "not a header\r\n"
+    "\r\n"
+    "First body line.\r\n"
+    "\r\n"
+    "Last body line.\n";
+
+TEST(ParserMutation, MailMessageParsesAndRoundTripsEveryMutant) {
+  const mail::Message seed = mail::Message::parse(kMessageSeed);
+  EXPECT_EQ(seed.headers().size(), 4u);
+  EXPECT_EQ(seed.first_header("Subject"), "SPF macro expansion report");
+  ASSERT_TRUE(seed.from_domain().has_value());
+  EXPECT_EQ(seed.from_domain()->to_string(), "mail.example.com");
+  EXPECT_EQ(seed.body(), "First body line.\r\n\r\nLast body line.\n");
+  for_each_mutant(
+      kMessageSeed, 0x3E55A6E,
+      [](std::string_view text, const std::string& which) {
+        try {
+          const mail::Message message = mail::Message::parse(text);
+          message.from_domain();
+          EXPECT_EQ(mail::Message::parse(message.to_string()), message)
+              << which << " does not survive a render/parse round trip";
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << which << " threw: " << e.what();
+        } catch (...) {
+          ADD_FAILURE() << which << " threw a non-standard exception";
+        }
+      });
 }
 
 }  // namespace

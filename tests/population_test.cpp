@@ -80,7 +80,9 @@ TEST_F(FleetTest, AddressInfoConsistent) {
     for (const auto& address : d.addresses) {
       const AddressInfo& info = fleet_->info(address);
       EXPECT_GE(info.domains_hosted, 1u);
-      if (d.in_alexa) EXPECT_TRUE(info.in_alexa_set);
+      if (d.in_alexa) {
+        EXPECT_TRUE(info.in_alexa_set);
+      }
       if (d.alexa_rank != 0 && info.best_rank != 0) {
         EXPECT_LE(info.best_rank, d.alexa_rank);
       }

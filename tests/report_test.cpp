@@ -2,27 +2,36 @@
 // produce a well-formed table whose aggregates are internally consistent.
 #include <gtest/gtest.h>
 
-#include "report/session.hpp"
 #include "report/tables.hpp"
+#include "session/scan_session.hpp"
 
 namespace spfail::report {
 namespace {
 
-// Shared tiny session; building the study once keeps this file fast.
+// Shared tiny session; building the study once keeps this file fast. As in
+// spfail_repro, the study runs first, so initial() is its initial campaign.
 class ReportFixture : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() { session_ = new ReproSession(0.01); }
+  static void SetUpTestSuite() {
+    session::ScanConfig config;
+    config.scale = 0.01;
+    session_ = new session::ScanSession(config);
+    session_->study();
+  }
   static void TearDownTestSuite() {
     delete session_;
     session_ = nullptr;
   }
-  static ReproSession* session_;
+  static const longitudinal::StudyReport& study() {
+    return *session_->study();
+  }
+  static session::ScanSession* session_;
 };
 
-ReproSession* ReportFixture::session_ = nullptr;
+session::ScanSession* ReportFixture::session_ = nullptr;
 
 TEST_F(ReportFixture, SessionHonoursExplicitScale) {
-  EXPECT_DOUBLE_EQ(session_->scale(), 0.01);
+  EXPECT_DOUBLE_EQ(session_->config().scale, 0.01);
   EXPECT_NE(session_->banner().find("scale=0.01"), std::string::npos);
 }
 
@@ -54,7 +63,7 @@ TEST_F(ReportFixture, Table4PartitionsMeasured) {
 }
 
 TEST_F(ReportFixture, Table5SortedByRate) {
-  const auto table = table5_tld_patch(session_->fleet(), session_->study());
+  const auto table = table5_tld_patch(session_->fleet(), study());
   EXPECT_GE(table.rows(), 2u);
   EXPECT_LE(table.rows(), 10u);  // top five + bottom five
 }
@@ -78,48 +87,42 @@ TEST_F(ReportFixture, Table7CoversAllBehaviors) {
 
 TEST_F(ReportFixture, Fig2RowsPerCohort) {
   const auto table =
-      fig2_final_distribution(session_->fleet(), session_->study());
+      fig2_final_distribution(session_->fleet(), study());
   EXPECT_EQ(table.rows(), 4u);
 }
 
 TEST_F(ReportFixture, Fig3HasRegions) {
-  const auto table = fig3_geography(session_->fleet(), session_->study());
+  const auto table = fig3_geography(session_->fleet(), study());
   EXPECT_GE(table.rows(), 3u);
   EXPECT_NE(table.render().find("europe"), std::string::npos);
 }
 
 TEST_F(ReportFixture, Fig4TwentyBuckets) {
-  const auto table = fig4_rank_buckets(session_->fleet(), session_->study(),
+  const auto table = fig4_rank_buckets(session_->fleet(), study(),
                                        longitudinal::Cohort::AlexaTopList);
   EXPECT_EQ(table.rows(), 20u);
 }
 
 TEST_F(ReportFixture, Fig5OneRowPerRound) {
   const auto table = fig5_conclusive_series(
-      session_->fleet(), session_->study(), longitudinal::Cohort::All);
-  EXPECT_EQ(table.rows(), session_->study().round_times.size());
+      session_->fleet(), study(), longitudinal::Cohort::All);
+  EXPECT_EQ(table.rows(), study().round_times.size());
 }
 
 TEST_F(ReportFixture, Fig6StopsAtWindowBoundary) {
   const auto window1 = fig67_vulnerability_series(session_->fleet(),
-                                                  session_->study(), true);
+                                                  study(), true);
   const auto full = fig67_vulnerability_series(session_->fleet(),
-                                               session_->study(), false);
+                                               study(), false);
   EXPECT_LT(window1.rows(), full.rows());
-  EXPECT_EQ(full.rows(), session_->study().round_times.size());
+  EXPECT_EQ(full.rows(), study().round_times.size());
 }
 
 TEST_F(ReportFixture, NotificationFunnelShape) {
-  const auto table = notification_funnel(session_->study());
+  const auto table = notification_funnel(study());
   const std::string rendered = table.render();
   EXPECT_NE(rendered.find("Notifications sent"), std::string::npos);
   EXPECT_NE(rendered.find("Opened (tracking image)"), std::string::npos);
-}
-
-TEST(ReportSession, EnvScaleParsing) {
-  // Explicit argument takes precedence over anything else.
-  ReproSession session(0.004);
-  EXPECT_DOUBLE_EQ(session.scale(), 0.004);
 }
 
 }  // namespace
