@@ -57,16 +57,17 @@ int main() {
   std::map<std::string, std::vector<dns::Name>> by_id;
   for (const auto& entry : server.query_log().entries()) {
     if (!entry.qname.is_subdomain_of(suite_base)) continue;
-    const auto relative = entry.qname.labels_relative_to(suite_base);
+    const dns::LabelRange relative =
+        entry.qname.labels_relative_to(suite_base);
     if (relative.empty()) continue;
-    by_id[relative.back()].push_back(entry.qname);
+    by_id[std::string(relative.back())].push_back(entry.qname);
   }
 
   std::cout << "Reconstructed verdicts (log-only) vs ground truth:\n";
   std::size_t correct = 0;
   for (const auto& [id, queries] : by_id) {
-    const spfvuln::FingerprintClassifier classifier(
-        suite_base.child(id), responder.macro);
+    spfvuln::FingerprintClassifier classifier(suite_base.child(id),
+                                              responder.macro);
     std::set<spfvuln::SpfBehavior> behaviors;
     for (const auto& qname : queries) {
       const auto behavior = classifier.classify(qname);

@@ -12,15 +12,21 @@ constexpr std::array<std::string_view, 8> kTwoLevelSuffixes = {
     "co.uk", "org.uk", "ac.uk", "com.au", "com.br", "co.za", "com.tr", "co.jp",
 };
 
+// The last `n` labels of a name's text, which must hold more than `n`.
+std::string_view last_labels(std::string_view text, std::size_t n) {
+  std::size_t start = text.size();
+  for (std::size_t i = 0; i < n; ++i) start = text.rfind('.', start - 1);
+  return text.substr(start + 1);
+}
+
 }  // namespace
 
 dns::Name organizational_domain(const dns::Name& domain) {
-  const auto& labels = domain.labels();
-  if (labels.size() <= 2) return domain;
+  const std::size_t labels = domain.label_count();
+  if (labels <= 2) return domain;
 
   // Check for a two-level public suffix.
-  const std::string two_level =
-      labels[labels.size() - 2] + "." + labels[labels.size() - 1];
+  const std::string_view two_level = last_labels(domain.text(), 2);
   std::size_t suffix_labels = 1;
   for (const auto candidate : kTwoLevelSuffixes) {
     if (two_level == candidate) {
@@ -29,14 +35,8 @@ dns::Name organizational_domain(const dns::Name& domain) {
     }
   }
   const std::size_t keep = suffix_labels + 1;
-  if (labels.size() <= keep) return domain;
-
-  std::string out;
-  for (std::size_t i = labels.size() - keep; i < labels.size(); ++i) {
-    if (!out.empty()) out.push_back('.');
-    out += labels[i];
-  }
-  return dns::Name::lenient(out);
+  if (labels <= keep) return domain;
+  return dns::Name::lenient(std::string(last_labels(domain.text(), keep)));
 }
 
 DiscoveryResult discover(dns::StubResolver& resolver,

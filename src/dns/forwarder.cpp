@@ -19,9 +19,8 @@ Message CachingForwarder::handle(const Message& query,
     return Message::make_response(query, Rcode::FormErr);
   }
   const Question& q = query.questions.front();
-  const auto key = std::make_pair(q.qname, q.qtype);
 
-  const auto it = cache_.find(key);
+  const auto it = cache_.find(NameTypeRef{q.qname.text(), q.qtype});
   if (it != cache_.end() && it->second.expires > now) {
     ++cache_hits_;
     obs::count("dns_cache_total",
@@ -57,7 +56,8 @@ Message CachingForwarder::handle(const Message& query,
   const Message response =
       transport_.exchange(upstream_, query, self_, upstream_endpoint_, client);
 
-  cache_[key] = Entry{now + cache_ttl(response.answers), response};
+  cache_.insert_or_assign(NameType{q.qname, q.qtype},
+                          Entry{now + cache_ttl(response.answers), response});
   return response;
 }
 

@@ -7,8 +7,6 @@
 // and spfail_repro's unique-label ablation quantifies it.
 #pragma once
 
-#include <map>
-
 #include "dns/server.hpp"
 #include "faults/fault.hpp"
 #include "faults/retry.hpp"
@@ -57,7 +55,7 @@ class CachingForwarder : public DnsService {
   net::Transport transport_;
   net::Endpoint self_;
   net::Endpoint upstream_endpoint_;
-  std::map<std::pair<Name, RRType>, Entry> cache_;
+  NameTypeMap<Entry> cache_;
   std::size_t cache_hits_ = 0;
   std::size_t upstream_queries_ = 0;
   faults::RetryPolicy retry_;

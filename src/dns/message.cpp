@@ -1,8 +1,8 @@
 #include "dns/message.hpp"
 
-#include <map>
-
-#include "util/strings.hpp"
+#include <algorithm>
+#include <string_view>
+#include <utility>
 
 namespace spfail::dns {
 
@@ -45,8 +45,18 @@ Message Message::make_response(const Message& query, Rcode rcode) {
 
 namespace {
 
+// RFC 1035 §3.1: a name is at most 255 octets on the wire.
+constexpr std::size_t kMaxWireName = 255;
+
 class Encoder {
  public:
+  // Sized for a classic 512-octet UDP message and its handful of names, so
+  // a query or a typical response never regrows either.
+  Encoder() {
+    buf_.reserve(512);
+    offsets_.reserve(16);
+  }
+
   std::vector<std::uint8_t> take() && { return std::move(buf_); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -71,34 +81,45 @@ class Encoder {
     buf_[offset + 1] = static_cast<std::uint8_t>(v);
   }
 
-  // Encode a name with compression against previously written names.
+  // Encode a name with compression against previously written names. The
+  // compression keys are the suffixes of names already written, as views
+  // into the message's own names (which outlive the encoder); the first
+  // writer of a suffix keeps its offset.
   void name(const Name& n) {
-    const auto& labels = n.labels();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      // Presentation form of the remaining suffix, used as the compression key.
-      std::string suffix;
-      for (std::size_t j = i; j < labels.size(); ++j) {
-        if (j > i) suffix.push_back('.');
-        suffix += labels[j];
-      }
-      const auto it = offsets_.find(suffix);
-      if (it != offsets_.end() && it->second < 0x3FFF) {
-        u16(static_cast<std::uint16_t>(0xC000 | it->second));
+    if (n.wire_length() > kMaxWireName) {
+      throw WireError("name exceeds 255 octets on encode: " + n.to_string());
+    }
+    std::string_view rest = n.text();
+    for (bool more = !rest.empty(); more;) {
+      const auto known = std::find_if(
+          offsets_.begin(), offsets_.end(),
+          [rest](const auto& entry) { return entry.first == rest; });
+      if (known != offsets_.end()) {
+        u16(static_cast<std::uint16_t>(0xC000 | known->second));
         return;
       }
-      if (size() < 0x3FFF) offsets_.emplace(suffix, size());
-      if (labels[i].size() > 63) {
-        throw WireError("label exceeds 63 octets on encode: " + labels[i]);
+      if (size() < 0x3FFF) offsets_.emplace_back(rest, size());
+      const std::size_t dot = rest.find('.');
+      const std::string_view label = rest.substr(0, dot);
+      if (label.empty()) {
+        // A zero length octet would end the name early.
+        throw WireError("empty label on encode: " + n.to_string());
       }
-      u8(static_cast<std::uint8_t>(labels[i].size()));
-      text(labels[i]);
+      if (label.size() > 63) {
+        throw WireError("label exceeds 63 octets on encode: " +
+                        std::string(label));
+      }
+      u8(static_cast<std::uint8_t>(label.size()));
+      text(label);
+      more = dot != std::string_view::npos;
+      if (more) rest.remove_prefix(dot + 1);
     }
     u8(0);  // root label
   }
 
  private:
   std::vector<std::uint8_t> buf_;
-  std::map<std::string, std::size_t> offsets_;
+  std::vector<std::pair<std::string_view, std::size_t>> offsets_;
 };
 
 class Decoder {
@@ -128,8 +149,12 @@ class Decoder {
   void seek(std::size_t p) { pos_ = p; }
   std::size_t remaining() const { return wire_.size() - pos_; }
 
+  // Labels are appended to the name's text as they are read; lenient()
+  // lowercases it in place and drops a trailing dot, which a label holding
+  // '.' can leave.
   Name name() {
-    std::vector<std::string> labels;
+    std::string text;
+    std::size_t octets = 1;  // the terminating root label
     std::size_t jumps = 0;
     std::size_t return_pos = 0;
     bool jumped = false;
@@ -149,14 +174,15 @@ class Decoder {
         continue;
       }
       if ((len & 0xC0) != 0) throw WireError("reserved label type");
-      labels.push_back(util::to_lower(text(len)));
-      if (labels.size() > 128) throw WireError("name has too many labels");
+      octets += 1 + len;
+      if (octets > kMaxWireName) throw WireError("name exceeds 255 octets");
+      ensure(len);
+      if (!text.empty()) text.push_back('.');
+      text.append(reinterpret_cast<const char*>(wire_.data() + pos_), len);
+      pos_ += len;
     }
     if (jumped) seek(return_pos);
-    // Labels are already lowercase and 1..63 octets by construction here;
-    // lenient() tolerates punctuation observed in erroneous SPF expansions.
-    if (labels.empty()) return Name::root();
-    return Name::lenient(util::join(labels, "."));
+    return Name::lenient(std::move(text));
   }
 
   void ensure(std::size_t n) const {

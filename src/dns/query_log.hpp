@@ -7,11 +7,11 @@
 //
 // Storage is compact (DESIGN.md §14): qnames repeat heavily — every retry,
 // every ladder rung, every suite re-fetch asks for the same handful of names
-// — so each entry stores a u32 Symbol into a per-log Interner instead of an
-// owned label vector. Entries parse back into full QueryLogEntry values only
-// when a consumer actually looks at them; the per-test verdict loop in
-// scan::Prober filters by interned text first and materialises only the few
-// entries under its unique label.
+// — so each entry stores a u32 Symbol into a per-log Interner holding the
+// name's canonical text instead of an owned name. Entries become full
+// QueryLogEntry values only when a consumer actually looks at them; the
+// per-test verdict loop in scan::Prober filters by interned text first and
+// materialises only the few entries under its unique label.
 #pragma once
 
 #include <functional>
@@ -39,7 +39,7 @@ class QueryLog {
  public:
   void record(QueryLogEntry entry) {
     entries_.push_back(Compact{entry.time, entry.client,
-                               names_.intern(entry.qname.to_string()),
+                               names_.intern(entry.qname.text()),
                                entry.qtype});
   }
 
@@ -68,7 +68,7 @@ class QueryLog {
   // Non-allocating visitor over entries under `suffix`, optionally starting
   // at `first` (a cursor previously read from size()). Matching is a text
   // suffix check on the interned canonical form — equivalent to
-  // Name::is_subdomain_of, but only matching entries pay for Name parsing.
+  // Name::is_subdomain_of, but only matching entries are materialised.
   template <typename Fn>
   void for_each_under(const Name& suffix, Fn&& fn) const {
     for_each_under_from(0, suffix, std::forward<Fn>(fn));
@@ -77,7 +77,7 @@ class QueryLog {
   template <typename Fn>
   void for_each_under_from(std::size_t first, const Name& suffix,
                            Fn&& fn) const {
-    const std::string suffix_text = suffix.to_string();
+    const std::string_view suffix_text = suffix.text();
     for (std::size_t i = first; i < entries_.size(); ++i) {
       if (text_under(names_.view(entries_[i].qname), suffix_text)) {
         fn(materialise(entries_[i]));
@@ -101,17 +101,18 @@ class QueryLog {
   };
 
   // Canonical-text equivalent of qname.is_subdomain_of(suffix): equal, or
-  // ends with "." + suffix. The root suffix "." matches every name.
+  // ends with "." + suffix. The root suffix "" matches every name.
   static bool text_under(std::string_view name, std::string_view suffix_text) {
-    if (suffix_text == ".") return true;
+    if (suffix_text.empty()) return true;
     if (name == suffix_text) return true;
     return name.size() > suffix_text.size() && name.ends_with(suffix_text) &&
            name[name.size() - suffix_text.size() - 1] == '.';
   }
 
+  // The interned text is a Name's canonical form already.
   QueryLogEntry materialise(const Compact& e) const {
-    return QueryLogEntry{e.time, e.client, Name::lenient(names_.view(e.qname)),
-                         e.qtype};
+    return QueryLogEntry{e.time, e.client,
+                         Name(std::string(names_.view(e.qname))), e.qtype};
   }
 
   std::vector<Compact> entries_;

@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -30,6 +33,34 @@ enum class RRType : std::uint16_t {
 enum class RRClass : std::uint16_t { IN = 1 };
 
 std::string to_string(RRType type);
+
+// A (name, type) key: the stub, forwarder and recursive answer caches and
+// the transport's fault-attempt counters are maps of these. NameTypeRef
+// borrows the name's text, so find() copies no key.
+struct NameTypeRef {
+  std::string_view name;
+  RRType type = RRType::A;
+  friend bool operator==(const NameTypeRef&, const NameTypeRef&) = default;
+};
+
+struct NameType {
+  Name name;
+  RRType type = RRType::A;
+  operator NameTypeRef() const noexcept { return {name.text(), type}; }
+  friend bool operator==(const NameType&, const NameType&) = default;
+};
+
+struct NameTypeHash {
+  using is_transparent = void;
+  std::size_t operator()(const NameTypeRef& key) const noexcept {
+    return std::hash<std::string_view>{}(key.name) ^
+           static_cast<std::size_t>(key.type);
+  }
+};
+
+template <typename Value>
+using NameTypeMap =
+    std::unordered_map<NameType, Value, NameTypeHash, std::equal_to<>>;
 
 struct ARdata {
   util::IpAddress address;  // must be v4

@@ -37,8 +37,7 @@ void RecursiveResolver::inject_faults(const faults::FaultPlan* plan,
 }
 
 ResolveResult RecursiveResolver::resolve(const Name& qname, RRType qtype) {
-  const auto cache_key = std::make_pair(qname, qtype);
-  const auto cached = answer_cache_.find(cache_key);
+  const auto cached = answer_cache_.find(NameTypeRef{qname.text(), qtype});
   if (cached != answer_cache_.end() && cached->second.expires > clock_.now()) {
     ++stats_.cache_hits;
     ++stats_.answers_from_cache;
@@ -51,7 +50,7 @@ ResolveResult RecursiveResolver::resolve(const Name& qname, RRType qtype) {
 
   if (transport_.fault_plan() == nullptr ||
       !transport_.fault_plan()->enabled()) {
-    return resolve_once(qname, qtype, cache_key, /*lame=*/false);
+    return resolve_once(qname, qtype, /*lame=*/false);
   }
 
   // Fault-injected path: each resolution attempt draws its own decision from
@@ -86,11 +85,11 @@ ResolveResult RecursiveResolver::resolve(const Name& qname, RRType qtype) {
       obs::count("net_injected_total", {{"kind", to_string(fault.kind)}});
     }
     if (!faulted) {
-      return resolve_once(qname, qtype, cache_key, /*lame=*/false);
+      return resolve_once(qname, qtype, /*lame=*/false);
     }
     if (fault.kind == faults::FaultKind::LameDelegation) {
       // The chase runs, burns queries, and dead-ends at the lame server.
-      result = resolve_once(qname, qtype, cache_key, /*lame=*/true);
+      result = resolve_once(qname, qtype, /*lame=*/true);
     }
     if (!retry_.allow_retry(tried, /*budget_left=*/1)) return result;
     ++stats_.retries;
@@ -98,9 +97,8 @@ ResolveResult RecursiveResolver::resolve(const Name& qname, RRType qtype) {
   }
 }
 
-ResolveResult RecursiveResolver::resolve_once(
-    const Name& qname, RRType qtype, const std::pair<Name, RRType>& cache_key,
-    bool lame) {
+ResolveResult RecursiveResolver::resolve_once(const Name& qname, RRType qtype,
+                                              bool lame) {
   // An injected lame delegation: the chase reaches a server that is not
   // authoritative for the zone and offers no onward referral. One wasted
   // round-trip, then a dead end — nothing is cached.
@@ -147,8 +145,9 @@ ResolveResult RecursiveResolver::resolve_once(
       // Authoritative data (or a terminal error): done.
       result.rcode = response.header.rcode;
       result.answers = response.answers;
-      answer_cache_[cache_key] =
-          CachedAnswer{clock_.now() + cache_ttl(result.answers), result};
+      answer_cache_.insert_or_assign(
+          NameType{qname, qtype},
+          CachedAnswer{clock_.now() + cache_ttl(result.answers), result});
       return result;
     }
 

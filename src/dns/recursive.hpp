@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "dns/resolver.hpp"
 #include "dns/server.hpp"
@@ -86,9 +87,7 @@ class RecursiveResolver {
 
   // One referral chase from the best-known starting server. `lame` forces
   // the delegation walk to dead-end (an injected lame delegation).
-  ResolveResult resolve_once(const Name& qname, RRType qtype,
-                             const std::pair<Name, RRType>& cache_key,
-                             bool lame);
+  ResolveResult resolve_once(const Name& qname, RRType qtype, bool lame);
 
   const NameServerRegistry& registry_;
   Name root_;
@@ -98,9 +97,9 @@ class RecursiveResolver {
   net::Endpoint self_;
   std::uint16_t next_id_ = 1;
   RecursiveStats stats_;
-  std::map<std::pair<Name, RRType>, CachedAnswer> answer_cache_;
+  NameTypeMap<CachedAnswer> answer_cache_;
   // Learned delegations: zone apex -> nameserver host.
-  std::map<Name, Name> delegation_cache_;
+  std::unordered_map<Name, Name, NameHash> delegation_cache_;
   faults::RetryPolicy retry_;
 };
 

@@ -11,9 +11,8 @@ util::SimTime cache_ttl(const std::vector<ResourceRecord>& answers) {
 }
 
 ResolveResult StubResolver::query(const Name& qname, RRType qtype) {
-  const auto key = std::make_pair(qname, qtype);
   if (cache_enabled_) {
-    const auto it = cache_.find(key);
+    const auto it = cache_.find(NameTypeRef{qname.text(), qtype});
     if (it != cache_.end() && it->second.expires > clock_.now()) {
       ++cache_hits_;
       return it->second.result;
@@ -24,15 +23,17 @@ ResolveResult StubResolver::query(const Name& qname, RRType qtype) {
   // The transport round-trips the query through the wire codec, applies any
   // attached fault plan, and traces both directions.
   const Message query_msg = Message::make_query(next_id_++, qname, qtype);
-  const Message response = transport_.exchange_with_faults(
-      service_, query_msg, self_, upstream_, client_);
+  Message response = transport_.exchange_with_faults(service_, query_msg, self_,
+                                                     upstream_, client_);
 
   ResolveResult result;
   result.rcode = response.header.rcode;
-  result.answers = response.answers;
+  result.answers = std::move(response.answers);
 
   if (cache_enabled_) {
-    cache_[key] = CacheEntry{clock_.now() + cache_ttl(result.answers), result};
+    cache_.insert_or_assign(
+        NameType{qname, qtype},
+        CacheEntry{clock_.now() + cache_ttl(result.answers), result});
   }
   return result;
 }

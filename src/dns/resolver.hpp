@@ -7,7 +7,6 @@
 // ablation).
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "dns/server.hpp"
@@ -74,7 +73,7 @@ class StubResolver {
   net::Endpoint self_;
   net::Endpoint upstream_;
   bool cache_enabled_;
-  std::map<std::pair<Name, RRType>, CacheEntry> cache_;
+  NameTypeMap<CacheEntry> cache_;
   std::size_t cache_hits_ = 0;
   std::size_t cache_misses_ = 0;
   std::uint16_t next_id_ = 1;

@@ -20,9 +20,9 @@ MailHost::MailHost(HostProfile profile, dns::DnsService& dns_service,
                                           : 0x6D7461ULL),
       dmarc_seed_(util::fnv1a(profile_.address.to_string())) {
   for (const auto behavior : behaviors_) {
-    engines_.push_back(spfvuln::make_expander(behavior));
     evaluators_.push_back(std::make_unique<spf::Evaluator>(
-        resolver_, *engines_.back(), spf::EvaluatorLimits{}, record_cache_));
+        resolver_, spfvuln::make_expander(behavior), spf::EvaluatorLimits{},
+        record_cache_));
   }
 }
 
@@ -31,9 +31,9 @@ void MailHost::apply_patch() {
   for (std::size_t i = 0; i < behaviors_.size(); ++i) {
     if (behaviors_[i] == spfvuln::SpfBehavior::VulnerableLibspf2) {
       behaviors_[i] = spfvuln::SpfBehavior::PatchedLibspf2;
-      engines_[i] = spfvuln::make_expander(behaviors_[i]);
       evaluators_[i] = std::make_unique<spf::Evaluator>(
-          resolver_, *engines_[i], spf::EvaluatorLimits{}, record_cache_);
+          resolver_, spfvuln::make_expander(behaviors_[i]),
+          spf::EvaluatorLimits{}, record_cache_);
     }
   }
 }
@@ -77,7 +77,7 @@ spf::Result MailHost::run_spf(const std::string& sender_local,
     return spf::Result::TempError;
   }
   spf::Result primary = spf::Result::None;
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
+  for (std::size_t i = 0; i < evaluators_.size(); ++i) {
     spf::Evaluator& evaluator = *evaluators_[i];
     spf::CheckRequest request;
     request.client_ip = client;

@@ -170,8 +170,8 @@ class MailHost : public smtp::SessionHandler {
   spf::SharedRecordCache* record_cache_ = nullptr;
   dns::StubResolver resolver_;
   std::vector<spfvuln::SpfBehavior> behaviors_;
-  std::vector<std::unique_ptr<spf::MacroExpander>> engines_;
-  // One persistent evaluator per engine, rebuilt only when a patch swaps the
+  // One persistent evaluator per behaviour, over that behaviour's shared
+  // engine (spfvuln::make_expander), rebuilt only when a patch swaps the
   // engine. Record parses are memoised fleet-wide by `record_cache_`.
   std::vector<std::unique_ptr<spf::Evaluator>> evaluators_;
   std::vector<spf::Result> last_spf_results_;

@@ -196,9 +196,15 @@ dns::Message Transport::exchange(dns::DnsService& service,
 faults::FaultDecision Transport::next_dns_fault(const dns::Name& qname,
                                                 dns::RRType qtype) {
   if (plan_ == nullptr || !plan_->enabled()) return {};
-  std::uint64_t& attempts = attempt_counters_[std::make_pair(qname, qtype)];
-  return plan_->dns_decision(util::fnv1a(qname.to_string()),
-                             static_cast<std::uint16_t>(qtype), attempts++);
+  auto counter = attempt_counters_.find(dns::NameTypeRef{qname.text(), qtype});
+  if (counter == attempt_counters_.end()) {
+    counter = attempt_counters_.emplace(dns::NameType{qname, qtype}, 0).first;
+  }
+  // Keyed on the presentation form to_string() gives ("." for the root).
+  const std::string_view key = qname.empty() ? "." : qname.text();
+  return plan_->dns_decision(util::fnv1a(key),
+                             static_cast<std::uint16_t>(qtype),
+                             counter->second++);
 }
 
 dns::Message Transport::exchange_with_faults(dns::DnsService& service,

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -162,7 +161,7 @@ class Transport {
   TransportConfig config_;
   const faults::FaultPlan* plan_ = nullptr;
   std::size_t injected_ = 0;
-  std::map<std::pair<dns::Name, dns::RRType>, std::uint64_t> attempt_counters_;
+  dns::NameTypeMap<std::uint64_t> attempt_counters_;
 };
 
 }  // namespace spfail::net

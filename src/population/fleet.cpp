@@ -777,7 +777,7 @@ void Fleet::stage_sender_policies(util::Rng rng) {
     if (it == zones.end()) {
       it = zones
                .emplace(std::string(origin),
-                        dns::Zone(dns::Name::lenient(origin)))
+                        dns::Zone(dns::Name::lenient(std::string(origin))))
                .first;
     }
     return it->second;
@@ -830,7 +830,7 @@ void Fleet::stage_sender_policies(util::Rng rng) {
 
     // --- publish the staged records ---
     dns::Zone& zone = zone_for(d.tld);
-    const dns::Name name = dns::Name::lenient(d.name);
+    const dns::Name name = dns::Name::lenient(std::string(d.name));
     const util::IpAddress origin_ip = d.addresses.front();
     const std::string orig_mech =
         (origin_ip.is_v4() ? "ip4:" : "ip6:") + origin_ip.to_string();
@@ -887,14 +887,14 @@ void Fleet::stage_sender_policies(util::Rng rng) {
   // domain's SPF, and the ESP's (misaligned) DKIM key.
   dns::Zone& infra = zone_for(kScenarioZone);
   infra.add(dns::ResourceRecord::txt(
-      dns::Name::lenient(kForwarderDomain),
+      dns::Name::lenient(std::string(kForwarderDomain)),
       "v=spf1 ip4:" + forwarder_address().to_string() + " -all"));
   infra.add(dns::ResourceRecord::txt(
-      dns::Name::lenient(kEspBounceDomain),
+      dns::Name::lenient(std::string(kEspBounceDomain)),
       "v=spf1 ip4:" + esp_address().to_string() + " -all"));
   dns::Zone& esp = zone_for(kEspSignerDomain);
   esp.add(dns::ResourceRecord::txt(
-      dkim::key_record_name(dns::Name::lenient(kEspSignerDomain),
+      dkim::key_record_name(dns::Name::lenient(std::string(kEspSignerDomain)),
                             kDkimSelector),
       dkim::key_record_text(dkim_secret_for(kEspSignerDomain))));
 

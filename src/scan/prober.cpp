@@ -86,8 +86,8 @@ ProbeResult Prober::probe(mta::MailHost& host,
   const auto finish_with_log_verdict = [&](bool dialog_ok, int code) {
     // Read the authoritative log for this test's unique domain (in sharded
     // runs this is the worker's lane log; same cursor semantics).
-    const spfvuln::FingerprintClassifier classifier(mail_from_domain,
-                                                    config_.responder.macro);
+    spfvuln::FingerprintClassifier classifier(mail_from_domain,
+                                              config_.responder.macro);
     server_.query_log().for_each_under_from(
         log_cursor, mail_from_domain, [&](const dns::QueryLogEntry& entry) {
           if (entry.qname == mail_from_domain &&

@@ -4,9 +4,12 @@ namespace spfail::scan {
 
 std::string test_policy_text(const TestResponderConfig& config,
                              const dns::Name& mail_from_domain) {
-  const std::string domain = mail_from_domain.to_string();
-  return "v=spf1 a:" + config.macro + "." + domain + " a:b." + domain +
-         " -all";
+  const std::string_view domain = mail_from_domain.text();
+  std::string policy = "v=spf1 a:";
+  policy.reserve(32 + config.macro.size() + 2 * domain.size());
+  policy.append(config.macro).append(".").append(domain);
+  policy.append(" a:b.").append(domain).append(" -all");
+  return policy;
 }
 
 TestResponderConfig install_test_responder(dns::AuthoritativeServer& server,
@@ -16,7 +19,8 @@ TestResponderConfig install_test_responder(dns::AuthoritativeServer& server,
       installed.base,
       [installed](const dns::Name& qname, dns::RRType qtype)
           -> std::optional<std::vector<dns::ResourceRecord>> {
-        const auto relative = qname.labels_relative_to(installed.base);
+        const dns::LabelRange relative =
+            qname.labels_relative_to(installed.base);
         switch (qtype) {
           case dns::RRType::TXT: {
             // Serve the templated policy for <id>.<suite> fetches; serve the

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/export.hpp"
@@ -153,6 +154,7 @@ const scan::CampaignReport& ScanSession::initial() {
   // Stream targets straight from the fleet's compact records — no
   // std::string/vector copies of the whole population (DESIGN.md §14).
   initial_ = snapshot::freeze(campaign.run(fleet().target_source()));
+  campaign_ran_ = true;
   if (config_.metrics()) record_metric_line("initial");
 
   if (!config_.checkpoint_path.empty()) {
@@ -177,6 +179,12 @@ const scan::CampaignReport& ScanSession::initial() {
 const longitudinal::StudyReport* ScanSession::study() {
   if (study_report_.has_value()) return &*study_report_;
   if (study_ran_) return nullptr;  // halted earlier
+  if (campaign_ran_) {
+    throw std::logic_error(
+        "ScanSession: study() after initial() ran a campaign; the study "
+        "would measure a fleet that campaign already probed. Call study() "
+        "first: initial() then returns the study's own initial campaign");
+  }
   study_ran_ = true;
 
   longitudinal::Study study(fleet(), study_config());

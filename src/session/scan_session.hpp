@@ -87,11 +87,11 @@ class ScanSession {
   const scan::CampaignReport& initial();
 
   // The full longitudinal study (cached; runs the initial campaign
-  // internally — call it before initial() on a session that wants both, as
-  // spfail_repro does; a campaign initial() ran first would have probed the
-  // fleet the study then measures). Returns nullptr
-  // when the run halted at a checkpoint (--halt-after-rounds) instead of
-  // completing; halted() reports the same.
+  // internally). On a session that wants both, call it before initial(), as
+  // spfail_repro does: after initial() has run a campaign, the fleet is
+  // already probed, so study() throws std::logic_error instead of measuring
+  // it again. Returns nullptr when the run halted at a checkpoint
+  // (--halt-after-rounds) instead of completing; halted() reports the same.
   const longitudinal::StudyReport* study();
 
   // True when study() stopped at --halt-after-rounds after writing the
@@ -127,6 +127,7 @@ class ScanSession {
   // Shared with the study report or the campaign checkpoint, never copied.
   snapshot::SharedReport initial_;
   std::optional<longitudinal::StudyReport> study_report_;
+  bool campaign_ran_ = false;  // initial() probed the fleet itself
   bool study_ran_ = false;
   bool halted_ = false;
   bool interrupted_ = false;

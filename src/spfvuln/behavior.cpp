@@ -74,26 +74,37 @@ bool is_erroneous(SpfBehavior behavior) {
   }
 }
 
-std::unique_ptr<spf::MacroExpander> make_expander(SpfBehavior behavior) {
+const spf::MacroExpander& make_expander(SpfBehavior behavior) {
+  // One static, so one thread-safe initialisation guards all of them.
+  static const struct {
+    spf::Rfc7208Expander rfc;
+    Libspf2Expander vulnerable;
+    Libspf2PatchedExpander patched;
+    NoExpansionExpander no_expansion;
+    NoTruncationExpander no_truncation;
+    NoReversalExpander no_reversal;
+    NoTransformersExpander no_transformers;
+    OffByOneTruncationExpander off_by_one;
+  } engines;
   switch (behavior) {
     case SpfBehavior::RfcCompliant:
-      return std::make_unique<spf::Rfc7208Expander>();
+      return engines.rfc;
     case SpfBehavior::VulnerableLibspf2:
-      return std::make_unique<Libspf2Expander>();
+      return engines.vulnerable;
     case SpfBehavior::PatchedLibspf2:
-      return std::make_unique<Libspf2PatchedExpander>();
+      return engines.patched;
     case SpfBehavior::NoExpansion:
-      return std::make_unique<NoExpansionExpander>();
+      return engines.no_expansion;
     case SpfBehavior::NoTruncation:
-      return std::make_unique<NoTruncationExpander>();
+      return engines.no_truncation;
     case SpfBehavior::NoReversal:
-      return std::make_unique<NoReversalExpander>();
+      return engines.no_reversal;
     case SpfBehavior::NoTransformers:
-      return std::make_unique<NoTransformersExpander>();
+      return engines.no_transformers;
     case SpfBehavior::OtherErroneous:
-      return std::make_unique<OffByOneTruncationExpander>();
+      return engines.off_by_one;
   }
-  return std::make_unique<spf::Rfc7208Expander>();
+  return engines.rfc;
 }
 
 }  // namespace spfail::spfvuln

@@ -4,7 +4,6 @@
 // these behaviours; the scanner's job is to recover them from DNS queries.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "spf/macro.hpp"
@@ -32,9 +31,12 @@ constexpr bool is_vulnerable(SpfBehavior behavior) {
   return behavior == SpfBehavior::VulnerableLibspf2;
 }
 
-// Factory: the expansion engine an MTA with this behaviour runs.
-// OtherErroneous gets a deliberately odd engine (swapped transformer order)
-// so it produces a query that matches no known fingerprint.
-std::unique_ptr<spf::MacroExpander> make_expander(SpfBehavior behavior);
+// The expansion engine an MTA with this behaviour runs. Every engine is
+// stateless, so each behaviour has one instance, built once per process and
+// shared by every host and thread; the reference stays valid for the
+// program's lifetime. OtherErroneous gets a deliberately odd engine
+// (off-by-one truncation) so it produces a query that matches no known
+// fingerprint.
+const spf::MacroExpander& make_expander(SpfBehavior behavior);
 
 }  // namespace spfail::spfvuln

@@ -1,14 +1,14 @@
 // Remote-detection fingerprint classification (paper section 4.2).
 //
-// Given the unique per-test MAIL FROM domain, the classifier precomputes what
+// Given the unique per-test MAIL FROM domain, the classifier computes what
 // each known SPF implementation behaviour would query for the test record's
 // "a:%{d1r}.<domain>" mechanism, then maps observed authoritative-server
-// queries back to behaviours. A patched libSPF2 is indistinguishable from any
-// other RFC-compliant validator — exactly as in the paper, where "patched"
-// means "now measures as RFC-compliant".
+// queries back to behaviours by comparing names. A patched libSPF2 is
+// indistinguishable from any other RFC-compliant validator — exactly as in
+// the paper, where "patched" means "now measures as RFC-compliant".
 #pragma once
 
-#include <map>
+#include <array>
 #include <optional>
 #include <string>
 
@@ -27,9 +27,11 @@ class FingerprintClassifier {
 
   // Classify one observed query name. Returns nullopt for names that are not
   // macro-expansion probes (the TXT fetch for the domain itself, the "b."
-  // control lookup); returns OtherErroneous for probe-shaped names matching
-  // no known behaviour.
-  std::optional<SpfBehavior> classify(const dns::Name& observed) const;
+  // control lookup, a receiver's _dmarc discovery); returns OtherErroneous
+  // for probe-shaped names matching no known behaviour. Each behaviour's
+  // expected name is computed the first time a probe-shaped name reaches
+  // it, so a test whose host never expands the macro computes none.
+  std::optional<SpfBehavior> classify(const dns::Name& observed);
 
   // The exact name each behaviour queries (for tests and documentation).
   dns::Name expected_query(SpfBehavior behavior) const;
@@ -37,10 +39,20 @@ class FingerprintClassifier {
   const dns::Name& domain() const noexcept { return domain_; }
 
  private:
+  // Behaviours with distinct fingerprints, in claim order: if two behaviours
+  // ever produced the same name, the earlier one wins the classification.
+  static constexpr std::array kFingerprintable = {
+      SpfBehavior::RfcCompliant,   SpfBehavior::VulnerableLibspf2,
+      SpfBehavior::NoExpansion,    SpfBehavior::NoTruncation,
+      SpfBehavior::NoReversal,     SpfBehavior::NoTransformers,
+      SpfBehavior::OtherErroneous,
+  };
+
   dns::Name domain_;
   std::string macro_;
-  // Expected full query name (presentation form) -> behaviour.
-  std::map<std::string, SpfBehavior> expected_;
+  // expected_[i] is what kFingerprintable[i] queries, for i < computed_.
+  std::size_t computed_ = 0;
+  std::array<dns::Name, kFingerprintable.size()> expected_;
 };
 
 }  // namespace spfail::spfvuln

@@ -118,27 +118,30 @@ ExpansionReport libspf2_expand_item(const spf::MacroItem& item,
   return report;
 }
 
-std::string Libspf2Expander::expand(std::string_view macro_string,
-                                    const spf::MacroContext& ctx) const {
-  last_report_ = ExpansionReport{};
-  std::string out;
+ExpansionReport libspf2_expand(std::string_view macro_string,
+                               const spf::MacroContext& ctx) {
+  ExpansionReport report;
   for (const spf::MacroToken& token : spf::parse_macro_string(macro_string)) {
     if (const auto* literal = std::get_if<spf::MacroLiteral>(&token)) {
-      out += literal->text;
+      report.output += literal->text;
       continue;
     }
     const auto& item = std::get<spf::MacroItem>(token);
     const ExpansionReport item_report =
         libspf2_expand_item(item, spf::macro_letter_value(item.letter, ctx));
-    out += item_report.output;
-    last_report_.buffer_allocated += item_report.buffer_allocated;
-    last_report_.buffer_written += item_report.buffer_written;
-    last_report_.overflow_bytes += item_report.overflow_bytes;
-    last_report_.length_reassigned |= item_report.length_reassigned;
-    last_report_.sprintf_overflow |= item_report.sprintf_overflow;
+    report.output += item_report.output;
+    report.buffer_allocated += item_report.buffer_allocated;
+    report.buffer_written += item_report.buffer_written;
+    report.overflow_bytes += item_report.overflow_bytes;
+    report.length_reassigned |= item_report.length_reassigned;
+    report.sprintf_overflow |= item_report.sprintf_overflow;
   }
-  last_report_.output = out;
-  return out;
+  return report;
+}
+
+std::string Libspf2Expander::expand(std::string_view macro_string,
+                                    const spf::MacroContext& ctx) const {
+  return libspf2_expand(macro_string, ctx).output;
 }
 
 std::string Libspf2PatchedExpander::expand(std::string_view macro_string,

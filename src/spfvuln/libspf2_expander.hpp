@@ -47,17 +47,17 @@ struct ExpansionReport {
 ExpansionReport libspf2_expand_item(const spf::MacroItem& item,
                                     std::string_view value);
 
+// Expand a full macro-string the way vulnerable libSPF2 1.2.10 does; the
+// report aggregates every macro item's.
+ExpansionReport libspf2_expand(std::string_view macro_string,
+                               const spf::MacroContext& ctx);
+
+// Stateless, so one instance serves every host and thread (make_expander).
 class Libspf2Expander : public spf::MacroExpander {
  public:
   std::string expand(std::string_view macro_string,
                      const spf::MacroContext& ctx) const override;
   std::string_view id() const noexcept override { return "libspf2-vulnerable"; }
-
-  // Report for the most recent expand() call (aggregated over macro items).
-  const ExpansionReport& last_report() const noexcept { return last_report_; }
-
- private:
-  mutable ExpansionReport last_report_;
 };
 
 // The *patched* libSPF2 behaviour (what servers upgrade to): identical

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -373,6 +374,25 @@ session::ScanConfig parse(std::initializer_list<const char*> args) {
   argv.insert(argv.end(), args.begin(), args.end());
   return session::ScanConfig::from_args(static_cast<int>(argv.size()),
                                         argv.data());
+}
+
+// The study runs its own initial campaign. After initial() has probed the
+// fleet, a study would measure hosts that campaign already contacted
+// (greylist first contacts, flaky-path draws), so its Table 3 would differ
+// from a fresh session's; the session refuses instead.
+TEST(ScanSessionOrder, StudyAfterInitialCampaignThrows) {
+  session::ScanConfig config;
+  config.scale = 0.004;
+  config.threads = 1;
+  session::ScanSession probed(config);
+  probed.initial();
+  EXPECT_THROW(probed.study(), std::logic_error);
+
+  // The supported order: study() first, then initial() is its campaign.
+  session::ScanSession fresh(config);
+  const longitudinal::StudyReport* report = fresh.study();
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(&fresh.initial(), &report->initial->report());
 }
 
 TEST(ScanConfigArgs, ParsesTheFullFlagSet) {

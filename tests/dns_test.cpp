@@ -49,7 +49,7 @@ TEST(Name, RejectsOversizedName) {
 TEST(Name, LenientKeepsErroneousLabels) {
   const Name n = Name::lenient("%{d1r}.test.example");
   EXPECT_EQ(n.label_count(), 3u);
-  EXPECT_EQ(n.labels()[0], "%{d1r}");
+  EXPECT_EQ(n.labels().front(), "%{d1r}");
 }
 
 TEST(Name, ParentChild) {
@@ -71,10 +71,11 @@ TEST(Name, Subdomain) {
 TEST(Name, LabelsRelativeTo) {
   const Name base = Name::from_string("spf-test.dns-lab.org");
   const Name full = Name::from_string("a.b.spf-test.dns-lab.org");
-  const auto rel = full.labels_relative_to(base);
+  const LabelRange rel = full.labels_relative_to(base);
   ASSERT_EQ(rel.size(), 2u);
-  EXPECT_EQ(rel[0], "a");
-  EXPECT_EQ(rel[1], "b");
+  EXPECT_EQ(std::vector<std::string_view>(rel.begin(), rel.end()),
+            (std::vector<std::string_view>{"a", "b"}));
+  EXPECT_TRUE(base.labels_relative_to(base).empty());
   EXPECT_THROW(base.labels_relative_to(full), std::invalid_argument);
 }
 
@@ -193,6 +194,56 @@ TEST(Codec, ErroneousLabelsSurviveTheWire) {
   const Message decoded = decode(encode(query));
   EXPECT_EQ(decoded.questions[0].qname.to_string(),
             "%{d1r}.x.spf-test.dns-lab.org");
+}
+
+TEST(Codec, MaxLengthNameRoundTrips) {
+  // 63 + 63 + 63 + 61 octets of labels: 253 octets of text, 255 on the wire.
+  const std::string text = std::string(63, 'a') + "." + std::string(63, 'b') +
+                           "." + std::string(63, 'c') + "." +
+                           std::string(61, 'd');
+  const Name name = Name::from_string(text);
+  ASSERT_EQ(name.wire_length(), 255u);
+  const Message query = Message::make_query(11, name, RRType::A);
+  EXPECT_EQ(decode(encode(query)), query);
+}
+
+TEST(Codec, EncodeRefusesEmptyLabel) {
+  // A zero length octet mid-name would end the name early on the wire.
+  const Message query =
+      Message::make_query(12, Name::lenient("a..b.example.com"), RRType::A);
+  EXPECT_THROW(encode(query), WireError);
+}
+
+TEST(Codec, EncodeRefusesNameOver255Octets) {
+  // Five 60-octet labels: 304 octets of text, 306 on the wire.
+  std::string text;
+  for (int i = 0; i < 5; ++i) {
+    if (i > 0) text.push_back('.');
+    text += std::string(60, static_cast<char>('a' + i));
+  }
+  const Name name = Name::lenient(text);
+  ASSERT_EQ(name.wire_length(), 306u);
+  EXPECT_THROW(encode(Message::make_query(13, name, RRType::A)), WireError);
+}
+
+TEST(Codec, DecodeRefusesNameOver255Octets) {
+  // A hand-built qname of three 63-octet labels and one of 62: 256 octets
+  // with the root label, one past RFC 1035's limit.
+  std::vector<std::uint8_t> wire = {0x00, 0x0E, 0x01, 0x00, 0x00, 0x01,
+                                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  for (const std::uint8_t len : {63, 63, 63, 62}) {
+    wire.push_back(len);
+    wire.insert(wire.end(), len, 'x');
+  }
+  wire.push_back(0);
+  wire.insert(wire.end(), {0x00, 0x01, 0x00, 0x01});  // A, IN
+  EXPECT_THROW(decode(wire), WireError);
+
+  // One octet less decodes.
+  const std::size_t last_label = 12 + 3 * 64;
+  wire[last_label] = 61;
+  wire.erase(wire.begin() + static_cast<std::ptrdiff_t>(last_label) + 1);
+  EXPECT_EQ(decode(wire).questions.at(0).qname.wire_length(), 255u);
 }
 
 // ---------------------------------------------------------------- Zone

@@ -164,12 +164,12 @@ TEST(Cve33912, CombinedWithReversalCompounds) {
 }
 
 TEST(Cve33912, ExpanderAggregatesReports) {
-  const Libspf2Expander expander;
   spf::MacroContext ctx = example_context();
   ctx.sender_local = "caf\xC3\xA9";  // UTF-8 'café'
-  expander.expand("%{L}", ctx);
-  EXPECT_TRUE(expander.last_report().sprintf_overflow);
-  EXPECT_EQ(expander.last_report().overflow_bytes, 12u);  // two high-bit bytes
+  const ExpansionReport report = libspf2_expand("%{L}", ctx);
+  EXPECT_TRUE(report.sprintf_overflow);
+  EXPECT_EQ(report.overflow_bytes, 12u);  // two high-bit bytes
+  EXPECT_EQ(report.output, Libspf2Expander{}.expand("%{L}", ctx));
 }
 
 // ------------------------------------------------- benign detection property
@@ -241,7 +241,7 @@ TEST(Variants, AllDistinctOnTestShapedDomain) {
         SpfBehavior::NoExpansion, SpfBehavior::NoTruncation,
         SpfBehavior::NoReversal, SpfBehavior::NoTransformers,
         SpfBehavior::OtherErroneous}) {
-    outputs.insert(make_expander(b)->expand("%{d1r}", ctx));
+    outputs.insert(make_expander(b).expand("%{d1r}", ctx));
   }
   EXPECT_EQ(outputs.size(), 7u);
 }
@@ -263,10 +263,10 @@ TEST(Behavior, VulnerableFlag) {
 }
 
 TEST(Behavior, ExpanderIdsStable) {
-  EXPECT_EQ(make_expander(SpfBehavior::VulnerableLibspf2)->id(),
+  EXPECT_EQ(make_expander(SpfBehavior::VulnerableLibspf2).id(),
             "libspf2-vulnerable");
-  EXPECT_EQ(make_expander(SpfBehavior::RfcCompliant)->id(), "rfc7208");
-  EXPECT_EQ(make_expander(SpfBehavior::PatchedLibspf2)->id(),
+  EXPECT_EQ(make_expander(SpfBehavior::RfcCompliant).id(), "rfc7208");
+  EXPECT_EQ(make_expander(SpfBehavior::PatchedLibspf2).id(),
             "libspf2-patched");
 }
 
