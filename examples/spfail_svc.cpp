@@ -26,11 +26,12 @@
 //   at <tick> <command>   # defer a command until the given tick
 //
 // Exit codes: 0 drained, 3 tick budget exhausted, 42 test-kill fired,
-// 2 configuration or control-script error.
+// 2 configuration, control-script or state error (a corrupt or older-format
+// svc_state, or a log shorter than the length svc_state committed).
 //
 // Test hook: SPFAIL_SVC_TEST_KILL="TICK:POINT" (POINT one of admission,
-// ckpt, report, state) hard-exits the process at the matching side-effect
-// boundary — the restart smoke test's stand-in for SIGKILL.
+// ckpt, report, logs, state) hard-exits the process at the matching
+// side-effect boundary — the restart smoke test's stand-in for SIGKILL.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -48,9 +49,10 @@ svc::KillPoint parse_kill_point(std::string_view name) {
   if (name == "admission") return svc::KillPoint::AfterAdmission;
   if (name == "ckpt") return svc::KillPoint::AfterJobCheckpoint;
   if (name == "report") return svc::KillPoint::AfterReportWrite;
+  if (name == "logs") return svc::KillPoint::AfterLogAppend;
   if (name == "state") return svc::KillPoint::AfterStateSave;
   session::reject_value("SPFAIL_SVC_TEST_KILL", name,
-                        "admission/ckpt/report/state");
+                        "admission/ckpt/report/logs/state");
 }
 
 svc::ServiceOptions options_from_env() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace spfail::dns {
 
@@ -59,12 +60,12 @@ Message AuthoritativeServer::handle(const Message& query,
   // Dynamic responders take precedence (the measurement domain is synthetic).
   for (const auto& [suffix, responder] : responders_) {
     if (!q.qname.is_subdomain_of(suffix)) continue;
-    const auto records = responder(q.qname, q.qtype);
+    auto records = responder(q.qname, q.qtype);
     if (!records.has_value()) {
       return Message::make_response(query, Rcode::NxDomain);
     }
     Message response = Message::make_response(query, Rcode::NoError);
-    response.answers = *records;
+    response.answers = std::move(*records);
     return response;
   }
 
@@ -86,11 +87,11 @@ Message AuthoritativeServer::handle(const Message& query,
       return response;
     }
 
-    const LookupResult result = zone.lookup(q.qname, q.qtype);
+    LookupResult result = zone.lookup(q.qname, q.qtype);
     switch (result.status) {
       case LookupResult::Status::Success: {
         Message response = Message::make_response(query, Rcode::NoError);
-        response.answers = result.records;
+        response.answers = std::move(result.records);
         return response;
       }
       case LookupResult::Status::NoData:

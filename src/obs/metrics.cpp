@@ -96,13 +96,23 @@ Histogram Histogram::decode(snapshot::Reader& r) {
   h.sum_ = r.i64();
   h.max_ = r.i64();
   const auto nonzero = r.u64();
+  // encode() writes only non-zero buckets, in ascending index order: a
+  // repeat, a reordering or a zero count was not written by it.
+  int previous = -1;
   for (std::uint64_t n = 0; n < nonzero; ++n) {
-    const auto index = r.u16();
-    if (index >= kBucketCount) {
-      throw snapshot::SnapshotError("obs: histogram bucket index " +
-                                    std::to_string(index) + " out of range");
+    const int index = r.u16();
+    if (index >= kBucketCount || index <= previous) {
+      throw snapshot::SnapshotError(
+          "obs: histogram bucket index " + std::to_string(index) +
+          (index >= kBucketCount ? " out of range" : " not ascending"));
     }
-    h.buckets_[index] = r.u64();
+    previous = index;
+    const std::uint64_t count = r.u64();
+    if (count == 0) {
+      throw snapshot::SnapshotError("obs: histogram bucket " +
+                                    std::to_string(index) + " has count 0");
+    }
+    h.buckets_[static_cast<std::size_t>(index)] = count;
   }
   return h;
 }
@@ -224,16 +234,30 @@ void Registry::encode(snapshot::Writer& w) const {
 }
 
 Registry Registry::decode(snapshot::Reader& r) {
+  // encode() walks ordered maps, so names and labels come strictly
+  // ascending: a repeat would collapse in the map and a reordering would
+  // re-encode differently, so either means the bytes are not its own.
+  const auto expect_after = [](const auto& map, const std::string& key,
+                               const char* what) {
+    if (!map.empty() && !(map.rbegin()->first < key)) {
+      throw snapshot::SnapshotError("obs: " + std::string(what) + " '" + key +
+                                    "' does not follow '" +
+                                    map.rbegin()->first +
+                                    "' in strictly ascending order");
+    }
+  };
   Registry registry;
   const auto family_count = r.u64();
   for (std::uint64_t f = 0; f < family_count; ++f) {
     std::string name = r.str();
+    expect_after(registry.families_, name, "family");
     Family family;
     family.kind = snapshot::decode_metric_kind(r.u8());
     family.wall = r.boolean();
     const auto cell_count = r.u64();
     for (std::uint64_t c = 0; c < cell_count; ++c) {
       std::string labels = r.str();
+      expect_after(family.cells, labels, "cell labels");
       Metric metric;
       switch (family.kind) {
         case MetricKind::Counter:
@@ -246,9 +270,11 @@ Registry Registry::decode(snapshot::Reader& r) {
           metric.histogram = Histogram::decode(r);
           break;
       }
-      family.cells.emplace(std::move(labels), std::move(metric));
+      family.cells.emplace_hint(family.cells.end(), std::move(labels),
+                                std::move(metric));
     }
-    registry.families_.emplace(std::move(name), std::move(family));
+    registry.families_.emplace_hint(registry.families_.end(), std::move(name),
+                                    std::move(family));
   }
   return registry;
 }

@@ -16,7 +16,7 @@ void Writer::str(std::string_view v) {
   if (v.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw SnapshotError("string exceeds u32 length prefix");
   }
-  u32(static_cast<std::uint32_t>(v.size()));
+  varint(v.size());
   bytes_.append(v.data(), v.size());
 }
 
@@ -66,8 +66,28 @@ bool Reader::boolean() {
   return v == 1;
 }
 
+std::uint64_t Reader::varint() {
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    if (done()) throw SnapshotError("truncated varint");
+    const auto byte = static_cast<std::uint8_t>(bytes_[pos_++]);
+    // The 10th byte carries bit 63 alone, so it is the last one: a larger
+    // value, or a continuation bit, is past 64 bits.
+    if (shift == 63 && byte > 1) throw SnapshotError("varint exceeds 64 bits");
+    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift > 0) throw SnapshotError("overlong varint");
+      return v;
+    }
+  }
+}
+
 std::string Reader::str() {
-  const std::uint32_t length = u32();
+  const std::uint64_t length = varint();
+  if (length > std::numeric_limits<std::uint32_t>::max()) {
+    throw SnapshotError("string length " + std::to_string(length) +
+                        " exceeds a u32");
+  }
   if (remaining() < length) {
     throw SnapshotError("truncated string (wanted " + std::to_string(length) +
                         " bytes, have " + std::to_string(remaining()) + ")");

@@ -1,7 +1,10 @@
 // Binary encode/decode primitives for the checkpoint format (DESIGN.md §11).
 //
-// Little-endian, explicitly sized fields; strings and blobs are u32
-// length-prefixed. The writer is append-only; the reader throws
+// Little-endian, explicitly sized fields, plus unsigned LEB128 varints for
+// counts and small integers; strings carry a varint length (at most a u32).
+// Every value has exactly one encoding: the reader refuses an overlong
+// varint, so any bytes it accepts re-encode to themselves. The writer is
+// append-only; the reader throws
 // SnapshotError on truncation, trailing garbage, or any value that fails
 // validation — a snapshot either decodes exactly or not at all, it is never
 // silently patched up.
@@ -30,7 +33,15 @@ class Writer {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);  // IEEE-754 bit pattern
   void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view v);
+  // Unsigned LEB128: 7 bits per byte, low group first, high bit = more.
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      bytes_.push_back(static_cast<char>((v & 0x7F) | 0x80));
+      v >>= 7;
+    }
+    bytes_.push_back(static_cast<char>(v));
+  }
+  void str(std::string_view v);  // varint length, then the bytes
   // Already-encoded bytes, appended verbatim (no length prefix).
   void raw(std::string_view v) { bytes_.append(v.data(), v.size()); }
 
@@ -66,6 +77,9 @@ class Reader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   bool boolean();
+  // Throws on more than 10 bytes, a 10th byte above 1 (past 64 bits), or an
+  // overlong form (a final byte of 0 after the first).
+  std::uint64_t varint();
   std::string str();
 
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }

@@ -1,7 +1,7 @@
 // The one file frame every persisted file kind shares (DESIGN.md §11).
 //
-// Layout: magic[8] | u16 version | u32 body length | body | u64 fnv1a-64 of
-// the body. A file is one body: no sections, no extension point. Study
+// Layout: magic[8] | u16 version | u32 body length | body | u64 XXH64 of the
+// body (seed 0). A file is one body: no sections, no extension point. Study
 // checkpoints (StudySnapshot) and the service state file (svc_state) are the
 // two kinds; each names its own magic, and both are read and written at one
 // format version. This module is the only code that knows the frame.
@@ -16,7 +16,8 @@
 // Only kFormatVersion is read: an older or newer file is refused with its
 // version number, never guessed at. The version is a u16 so that both
 // version-1 layouts (the snapshot's u32 1 and the service state's u16 1, each
-// right after its magic) read as version 1 and are refused by number.
+// right after its magic) read as version 1 and are refused by number, as is
+// version 2 (the same frame under an FNV-1a checksum, with wider fields).
 #pragma once
 
 #include <cstddef>
@@ -28,7 +29,7 @@
 namespace spfail::snapshot {
 
 // The format version every file kind is written at, and the only one read.
-inline constexpr std::uint16_t kFormatVersion = 2;
+inline constexpr std::uint16_t kFormatVersion = 3;
 
 // One persisted file kind: its magic, and the noun rejections name it by.
 struct FileFormat {
@@ -40,6 +41,10 @@ inline constexpr FileFormat kSnapshotFile = {
     {'S', 'P', 'F', 'S', 'N', 'A', 'P', '\0'}, "snapshot"};
 inline constexpr FileFormat kSvcStateFile = {
     {'S', 'P', 'F', 'S', 'V', 'C', '0', '1'}, "svc state"};
+
+// The frame checksum: XXH64 with seed 0, as the xxHash specification
+// (doc/xxhash_spec.md) defines it, on any host byte order.
+std::uint64_t checksum(std::string_view body) noexcept;
 
 // Writes the header of a `format` file to `w` and returns the offset of its
 // body-length slot, for end_file().

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -13,40 +14,80 @@ namespace spfail::snapshot {
 
 namespace {
 
-void put_name(Writer& w, const dns::Name& name) {
-  w.str(name.empty() ? std::string_view{} : name.to_string());
-}
+void put_name(Writer& w, const dns::Name& name) { w.str(name.text()); }
 
+// The name whose text() is exactly the field: lenient() drops only the one
+// dot appended, so a trailing empty label survives. Text with a capital is
+// no name's text (lenient() would lowercase it), so put_name never wrote it.
 dns::Name get_name(Reader& r) {
   const std::string text = r.str();
-  return text.empty() ? dns::Name::root() : dns::Name::lenient(text);
+  dns::Name name = dns::Name::lenient(text + ".");
+  if (name.text() != text) {
+    throw SnapshotError("name '" + text + "' is not in canonical form");
+  }
+  return name;
 }
 
+// One byte: bit k is set when the behaviour with wire code k is present.
+// Every wire code is below 8, so every byte decodes to a set.
 void put_behaviors(Writer& w, const std::set<spfvuln::SpfBehavior>& behaviors) {
-  w.u32(static_cast<std::uint32_t>(behaviors.size()));
-  for (const auto b : behaviors) w.u8(encode_enum(b));
+  std::uint8_t bits = 0;
+  for (const auto b : behaviors) {
+    bits = static_cast<std::uint8_t>(bits | (1u << encode_enum(b)));
+  }
+  w.u8(bits);
 }
 
 std::set<spfvuln::SpfBehavior> get_behaviors(Reader& r) {
   std::set<spfvuln::SpfBehavior> behaviors;
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    behaviors.insert(decode_spf_behavior(r.u8()));
+  const std::uint8_t bits = r.u8();
+  for (std::uint8_t code = 0; code < 8; ++code) {
+    if ((bits >> code) & 1u) behaviors.insert(decode_spf_behavior(code));
   }
   return behaviors;
+}
+
+// A small signed int as a zig-zagged varint (0, -1, 1, -2, ... -> 0, 1, 2,
+// 3, ...), so reply codes and attempt counts take one or two bytes.
+void put_small_int(Writer& w, int v) {
+  const auto wide = static_cast<std::int64_t>(v);
+  w.varint((static_cast<std::uint64_t>(wide) << 1) ^
+           static_cast<std::uint64_t>(wide >> 63));
+}
+
+// A decoded int field: a value outside int was not written by this codec,
+// and truncating it would re-encode differently.
+int as_int(std::int64_t v) {
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw SnapshotError("integer " + std::to_string(v) + " outside int");
+  }
+  return static_cast<int>(v);
+}
+
+int get_small_int(Reader& r) {
+  const std::uint64_t zigzag = r.varint();
+  return as_int(static_cast<std::int64_t>((zigzag >> 1) ^ (0 - (zigzag & 1))));
+}
+
+// An address keeps its family's octets: 4 for IPv4, 16 for IPv6.
+std::size_t octets(util::IpAddress::Family family) {
+  return family == util::IpAddress::Family::V4 ? 4 : 16;
 }
 
 }  // namespace
 
 void put_address(Writer& w, const util::IpAddress& address) {
   w.u8(encode_enum(address.family()));
-  for (const std::uint8_t byte : address.bytes()) w.u8(byte);
+  for (std::size_t i = 0; i < octets(address.family()); ++i) {
+    w.u8(address.bytes()[i]);
+  }
 }
 
 util::IpAddress get_address(Reader& r) {
   const auto family = decode_family(r.u8());
   std::array<std::uint8_t, 16> bytes{};
-  for (auto& byte : bytes) byte = r.u8();
+  for (std::size_t i = 0; i < octets(family); ++i) bytes[i] = r.u8();
   if (family == util::IpAddress::Family::V4) {
     return util::IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
   }
@@ -60,7 +101,7 @@ void put_probe_result(Writer& w, const scan::ProbeResult& result) {
   put_name(w, result.mail_from_domain);
   put_behaviors(w, result.behaviors);
   w.boolean(result.saw_policy_fetch);
-  w.i64(result.failing_code);
+  put_small_int(w, result.failing_code);
   w.str(result.accepted_username);
   w.u8(encode_enum(result.injected));
 }
@@ -73,7 +114,7 @@ scan::ProbeResult get_probe_result(Reader& r) {
   result.mail_from_domain = get_name(r);
   result.behaviors = get_behaviors(r);
   result.saw_policy_fetch = r.boolean();
-  result.failing_code = static_cast<int>(r.i64());
+  result.failing_code = get_small_int(r);
   result.accepted_username = r.str();
   result.injected = decode_fault_kind(r.u8());
   return result;
@@ -87,8 +128,8 @@ void put_outcome(Writer& w, const scan::AddressOutcome& outcome) {
   if (outcome.blankmsg) put_probe_result(w, *outcome.blankmsg);
   w.u8(encode_enum(outcome.verdict));
   put_behaviors(w, outcome.behaviors);
-  w.i64(outcome.probe_attempts);
-  w.i64(outcome.retries_used);
+  put_small_int(w, outcome.probe_attempts);
+  put_small_int(w, outcome.retries_used);
   w.boolean(outcome.saw_transient);
 }
 
@@ -99,8 +140,8 @@ scan::AddressOutcome get_outcome(Reader& r) {
   if (r.boolean()) outcome.blankmsg = get_probe_result(r);
   outcome.verdict = decode_address_verdict(r.u8());
   outcome.behaviors = get_behaviors(r);
-  outcome.probe_attempts = static_cast<int>(r.i64());
-  outcome.retries_used = static_cast<int>(r.i64());
+  outcome.probe_attempts = get_small_int(r);
+  outcome.retries_used = get_small_int(r);
   outcome.saw_transient = r.boolean();
   return outcome;
 }
@@ -151,12 +192,12 @@ void put_report(Writer& w, const scan::CampaignReport& report) {
   w.str(report.suite_label);
   // Canonical encoding: outcomes in ascending address order, not map order.
   const auto sorted = report.sorted_outcomes();
-  w.u64(sorted.size());
+  w.varint(sorted.size());
   for (const auto* outcome : sorted) put_outcome(w, *outcome);
-  w.u64(report.domains.size());
+  w.varint(report.domains.size());
   for (const auto& domain : report.domains) {
     w.str(domain.domain);
-    w.u64(domain.addresses.size());
+    w.varint(domain.addresses.size());
     for (const auto& address : domain.addresses) put_address(w, address);
     w.boolean(domain.any_refused);
     w.boolean(domain.any_measured);
@@ -169,7 +210,7 @@ void put_report(Writer& w, const scan::CampaignReport& report) {
 scan::CampaignReport get_report(Reader& r) {
   scan::CampaignReport report;
   report.suite_label = r.str();
-  const std::uint64_t outcomes = r.u64();
+  const std::uint64_t outcomes = r.varint();
   util::IpAddress previous;
   for (std::uint64_t i = 0; i < outcomes; ++i) {
     scan::AddressOutcome outcome = get_outcome(r);
@@ -185,11 +226,11 @@ scan::CampaignReport get_report(Reader& r) {
     previous = address;
     report.addresses.emplace(address, std::move(outcome));
   }
-  const std::uint64_t domains = r.u64();
+  const std::uint64_t domains = r.varint();
   for (std::uint64_t i = 0; i < domains; ++i) {
     scan::DomainOutcome domain;
     domain.domain = r.str();
-    const std::uint64_t addresses = r.u64();
+    const std::uint64_t addresses = r.varint();
     for (std::uint64_t j = 0; j < addresses; ++j) {
       domain.addresses.push_back(get_address(r));
     }
@@ -229,7 +270,7 @@ net::Frame get_frame(Reader& r) {
   frame.direction = decode_direction(r.u8());
   frame.kind = decode_frame_kind(r.u8());
   frame.verb = r.str();
-  frame.code = static_cast<int>(r.i64());
+  frame.code = as_int(r.i64());
   frame.text = r.str();
   frame.qname = r.str();
   frame.qtype = r.str();

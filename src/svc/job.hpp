@@ -73,11 +73,12 @@ struct JobSpec {
   // session::ScanConfigError naming the offending field.
   void validate() const;
 
-  // The smallest encode() output: every fixed-width field, plus the length
-  // prefixes of an empty id, an empty scenario and an empty nets list.
+  // The smallest encode() output: every fixed-width field, plus the
+  // one-byte length prefixes of an empty id and an empty scenario and the
+  // u32 count of an empty nets list.
   // Decoders bound element counts read from a file with it.
   static constexpr std::size_t kMinEncodedBytes =
-      4 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 4;
+      1 + 8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8 + 4 + 4;
 
   void encode(snapshot::Writer& w) const;
   // Throws snapshot::SnapshotError on malformed bytes (including a nets

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <ostream>
@@ -25,6 +26,39 @@ using session::parse_u64;
 // Thrown by the kill hook, caught by run(): the loop stops with no further
 // side effects, exactly as a SIGKILL at that syscall boundary would.
 struct KilledSignal {};
+
+// Cut the log at `path` back to `committed` bytes; a log of 0 committed
+// bytes is (re)created empty. Throws SnapshotError when the log is missing
+// or shorter: the state committed bytes that are not there.
+void cut_log(const std::string& path, std::uint64_t committed) {
+  if (committed == 0) {
+    snapshot::save_atomically(path, "");
+    return;
+  }
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error || size < committed) {
+    throw snapshot::SnapshotError(
+        "svc state: '" + path + "' " +
+        (error ? "is missing" : "holds " + std::to_string(size) + " bytes") +
+        " but the state committed " + std::to_string(committed));
+  }
+  std::filesystem::resize_file(path, committed, error);
+  if (error) {
+    throw snapshot::SnapshotError("cannot cut '" + path + "' back to " +
+                                  std::to_string(committed) + " bytes");
+  }
+}
+
+void append_file(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  if (!out) {
+    throw snapshot::SnapshotError("cannot open '" + path + "' for appending");
+  }
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.flush();
+  if (!out) throw snapshot::SnapshotError("short write to '" + path + "'");
+}
 
 constexpr SvcFlagDef kSvcFlags[] = {
     {"--dir", "SPFAIL_SVC_DIR", "DIR", "svc-state",
@@ -198,6 +232,10 @@ ServiceLoop::~ServiceLoop() = default;
 
 std::string ServiceLoop::state_path() const {
   return config_.dir + "/svc_state";
+}
+
+std::string ServiceLoop::events_path() const {
+  return config_.dir + "/events.log";
 }
 
 std::string ServiceLoop::ckpt_path(const JobRecord& rec) const {
@@ -511,17 +549,20 @@ void ServiceLoop::save_state() const {
   }
   admission_.encode(file);
   registry_.encode(file);
-  file.u32(static_cast<std::uint32_t>(metric_lines_.size()));
-  for (const std::string& line : metric_lines_) file.str(line);
-  file.u32(static_cast<std::uint32_t>(events_.size()));
-  for (const std::string& line : events_) file.str(line);
+  file.u64(events_bytes_);
+  file.u64(metrics_bytes_);
   snapshot::end_file(file, slot);
   snapshot::save_atomically(state_path(), file.bytes());
 }
 
 void ServiceLoop::restore_state() {
   snapshot::discard_partial(state_path());
-  if (!std::filesystem::exists(state_path())) return;  // a fresh service
+  if (!std::filesystem::exists(state_path())) {
+    // A fresh service, or one killed inside its first tick: whatever that
+    // tick appended is not committed.
+    restore_logs(0, 0);
+    return;
+  }
   const std::string bytes = snapshot::load_file(state_path());
   snapshot::Reader r(snapshot::open_file(bytes, snapshot::kSvcStateFile));
   tick_ = r.u64();
@@ -583,35 +624,60 @@ void ServiceLoop::restore_state() {
   }
   admission_ = AdmissionController::decode(r);
   registry_ = obs::Registry::decode(r);
-  metric_lines_.clear();
-  const std::uint32_t line_count = r.u32();
-  for (std::uint32_t i = 0; i < line_count; ++i) {
-    metric_lines_.push_back(r.str());
-  }
-  events_.clear();
-  const std::uint32_t event_count = r.u32();
-  for (std::uint32_t i = 0; i < event_count; ++i) {
-    events_.push_back(r.str());
-  }
+  const std::uint64_t events_bytes = r.u64();
+  const std::uint64_t metrics_bytes = r.u64();
   r.expect_done();
+  restore_logs(events_bytes, metrics_bytes);
 }
 
-void ServiceLoop::write_event_log() const {
+void ServiceLoop::restore_logs(std::uint64_t events_bytes,
+                               std::uint64_t metrics_bytes) {
+  cut_log(events_path(), events_bytes);
+  if (config_.metrics()) {
+    cut_log(config_.metrics_path, metrics_bytes);
+  } else if (metrics_bytes > 0) {
+    throw snapshot::SnapshotError(
+        "svc state: the metrics JSONL holds " + std::to_string(metrics_bytes) +
+        " committed bytes but --metrics is off (it must name the same file "
+        "across a restart)");
+  }
+  events_bytes_ = events_bytes;
+  metrics_bytes_ = metrics_bytes;
+
+  events_.clear();
+  const std::string text = snapshot::load_file(events_path());
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    const std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) {
+      throw snapshot::SnapshotError(
+          "svc state: the event log's committed length ends mid-line");
+    }
+    events_.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  events_on_disk_ = events_.size();
+}
+
+void ServiceLoop::append_logs() {
   std::string text;
-  for (const std::string& line : events_) {
-    text += line;
+  for (std::size_t i = events_on_disk_; i < events_.size(); ++i) {
+    text += events_[i];
     text += '\n';
   }
-  snapshot::save_atomically(config_.dir + "/events.log", text);
+  if (!text.empty()) append_file(events_path(), text);
+  events_on_disk_ = events_.size();
+  events_bytes_ += text.size();
+  if (config_.metrics()) {
+    const std::string line =
+        obs::round_snapshot_json(registry_, "tick", static_cast<int>(tick_)) +
+        "\n";
+    append_file(config_.metrics_path, line);
+    metrics_bytes_ += line.size();
+  }
 }
 
-void ServiceLoop::write_metrics_files() const {
-  std::string jsonl;
-  for (const std::string& line : metric_lines_) {
-    jsonl += line;
-    jsonl += '\n';
-  }
-  snapshot::save_atomically(config_.metrics_path, jsonl);
+void ServiceLoop::write_prometheus() const {
   std::ostringstream prom;
   obs::write_prometheus(registry_, prom);
   snapshot::save_atomically(config_.metrics_path + ".prom", prom.str());
@@ -633,17 +699,15 @@ ServiceLoop::Status ServiceLoop::run() {
   restore_state();
   try {
     while (true) {
+      // The logs are never behind the state, so the way out rewrites only
+      // the .prom: a killed tick may have exported it ahead of the state a
+      // restart under a smaller tick budget stops at.
       if (all_done() && (drain_ || config_.control.empty())) {
-        // A restart can land here with the state file ahead of the output
-        // files (killed between the two writes): rewrite them so the exit
-        // state is complete regardless of where the previous process died.
-        write_event_log();
-        if (config_.metrics()) write_metrics_files();
+        if (config_.metrics()) write_prometheus();
         return Status::Drained;
       }
       if (config_.max_ticks > 0 && tick_ >= config_.max_ticks) {
-        write_event_log();
-        if (config_.metrics()) write_metrics_files();
+        if (config_.metrics()) write_prometheus();
         return Status::MaxTicks;
       }
       consume_commands();
@@ -653,14 +717,13 @@ ServiceLoop::Status ServiceLoop::run() {
       run_pass();
       ++registry_.counter("svc_ticks_total");
       update_gauges();
-      if (config_.metrics()) {
-        metric_lines_.push_back(obs::round_snapshot_json(
-            registry_, "tick", static_cast<int>(tick_)));
-      }
+      // Append before the save, so the state never commits a byte that is
+      // not on disk.
+      append_logs();
+      if (config_.metrics()) write_prometheus();
+      maybe_kill(KillPoint::AfterLogAppend);
       save_state();
       maybe_kill(KillPoint::AfterStateSave);
-      write_event_log();
-      if (config_.metrics()) write_metrics_files();
       ++tick_;
     }
   } catch (const KilledSignal&) {

@@ -10,17 +10,21 @@
 //
 // Determinism discipline: a tick is a fixed serial sequence (consume
 // commands, refill buckets, wake recurrences, admission in priority order,
-// run, commit in submit order, export metrics, save state), and every
-// piece of cross-tick state — the queue, the admission controller, the
-// metrics registry, the event log, the consumed-command count — rides the
+// run, commit in submit order, append the tick's events and metrics line,
+// rewrite the Prometheus file, save state), and every piece of cross-tick
+// state — the queue, the admission controller, the metrics registry, the
+// consumed-command count, and the committed byte lengths of the two
+// append-only logs (<dir>/events.log and the metrics JSONL) — rides the
 // service state file <dir>/svc_state, saved atomically at the end of every
-// tick. A SIGTERM'd or crashed service therefore restarts by replaying at
-// most one tick: per-job checkpoints written inside the torn tick may be
-// AHEAD of the restored service state, which is why jobs resume through the
-// skip-ahead Job::ensure_rounds — the replayed tick emits its events and
-// metrics from the deterministic schedule and re-executes only rounds whose
-// checkpoints were lost. Final reports, the event log, and the metric files
-// come out byte-identical to an uninterrupted service.
+// tick. The logs are appended before the save, so the state never commits a
+// byte that is not on disk; a restart cuts each log back to its committed
+// length. A SIGTERM'd or crashed service therefore restarts by replaying at
+// most one tick: per-job checkpoints and log lines written inside the torn
+// tick may be AHEAD of the restored service state, which is why jobs resume
+// through the skip-ahead Job::ensure_rounds — the replayed tick emits its
+// events and metrics from the deterministic schedule and re-executes only
+// rounds whose checkpoints were lost. Final reports, the event log, and the
+// metric files come out byte-identical to an uninterrupted service.
 //
 // The run step is the only concurrent part: every runnable job computes its
 // tick at once, each on a thread it owns from open to teardown, and the
@@ -54,7 +58,9 @@ struct SvcConfig {
   int rounds_per_tick = 4;        // study rounds one job advances per tick
   AdmissionConfig admission;
   std::uint64_t max_ticks = 0;    // stop after N ticks; 0 = until drained
-  std::string metrics_path;       // JSONL per tick + .prom; empty = off
+  // JSONL per tick + .prom; empty = off. The JSONL is appended to, so a
+  // restart must name the same file.
+  std::string metrics_path;
 
   bool metrics() const noexcept { return !metrics_path.empty(); }
 
@@ -81,7 +87,9 @@ enum class KillPoint : std::uint8_t {
   AfterAdmission = 1,      // decisions made, nothing persisted yet
   AfterJobCheckpoint = 2,  // first job checkpoint of the tick written
   AfterReportWrite = 3,    // first final report of the tick written
-  AfterStateSave = 4,      // svc_state written; metric/event files stale
+  AfterLogAppend = 4,      // logs appended and .prom rewritten; svc_state not
+                           // yet saved, so the logs are a tick ahead of it
+  AfterStateSave = 5,      // svc_state written: the tick is complete
 };
 
 struct ServiceOptions {
@@ -111,10 +119,13 @@ class ServiceLoop {
   // budget runs out, or a kill hook fires. Each tick ends with the state
   // file, event log, and metric files on disk, so calling run() again after
   // any outcome continues exactly where the last completed tick left off.
+  // Throws snapshot::SnapshotError when the state file is corrupt or a log
+  // is missing or shorter than the length the state committed.
   Status run();
 
   // Observability for tests.
   std::uint64_t ticks() const noexcept { return tick_; }
+  // Every event line so far, the restored log's included.
   const std::vector<std::string>& events() const noexcept { return events_; }
   const obs::Registry& metrics() const noexcept { return registry_; }
   const AdmissionController& admission() const noexcept { return admission_; }
@@ -154,13 +165,18 @@ class ServiceLoop {
   };
 
   std::string state_path() const;
+  std::string events_path() const;
   std::string ckpt_path(const JobRecord& rec) const;
   std::string report_path(const JobRecord& rec) const;
 
   void restore_state();
+  // Cut each log back to its committed length and read the event log in.
+  void restore_logs(std::uint64_t events_bytes, std::uint64_t metrics_bytes);
   void save_state() const;
-  void write_event_log() const;
-  void write_metrics_files() const;
+  // Append the events not yet on disk, and the tick's metrics line when
+  // metrics are on, advancing the lengths the next save_state() commits.
+  void append_logs();
+  void write_prometheus() const;
   void write_status_file() const;
 
   void event(std::string line);
@@ -190,8 +206,10 @@ class ServiceLoop {
   std::vector<JobRecord> jobs_;       // in submit (seq) order
   AdmissionController admission_;
   obs::Registry registry_;
-  std::vector<std::string> metric_lines_;
   std::vector<std::string> events_;
+  std::size_t events_on_disk_ = 0;    // events_ already in the event log
+  std::uint64_t events_bytes_ = 0;    // event log length after the appends
+  std::uint64_t metrics_bytes_ = 0;   // metrics JSONL length likewise
 };
 
 std::string to_string(ServiceLoop::Status status);

@@ -3,7 +3,7 @@
 // ordered label by label. Over a seeded corpus of awkward names (mixed case,
 // digits, '-', '_', macro text, empty labels, labels of 63, 64 and 300
 // octets) every accessor must agree with the model, and the snapshot field
-// codec must round-trip names as it did.
+// codec must round-trip every name exactly.
 //
 // Two shapes the one-string form cannot hold are pinned in EdgeCases: a
 // lone empty label is the root, and a child label holding '.' is several
@@ -280,12 +280,15 @@ TEST(NameModel, SnapshotFieldRoundTripMatchesReference) {
     snapshot::Reader reader(writer.bytes());
     const scan::ProbeResult back = snapshot::get_probe_result(reader);
 
-    // The field holds the presentation form ("" for the root) and reads
-    // back through the lenient parse.
-    const Labels expected =
-        item.ref.empty() ? Labels{} : ref_lenient(ref_join(item.ref));
-    EXPECT_EQ(labels_of(back.mail_from_domain.labels()), expected)
+    // The field holds the name's text ("" for the root) and reads back as
+    // the same name, a trailing empty label included, so the decoded result
+    // re-encodes to the same bytes.
+    EXPECT_EQ(labels_of(back.mail_from_domain.labels()), item.ref)
         << ref_to_string(item.ref);
+    EXPECT_EQ(back.mail_from_domain, item.name) << ref_to_string(item.ref);
+    snapshot::Writer again;
+    snapshot::put_probe_result(again, back);
+    EXPECT_EQ(again.bytes(), writer.bytes()) << ref_to_string(item.ref);
   }
 }
 

@@ -1,8 +1,9 @@
 // The one file frame (snapshot/container.hpp) both persisted file kinds
-// share: its layout, and the rejections every decoder inherits from it —
-// wrong magic, version 1 as the previous layouts wrote it, a future version,
-// a bad body length, truncation, trailing bytes and a corrupt checksum. Each
-// case runs for both formats: study checkpoints and svc_state.
+// share: its layout and XXH64 checksum, and the rejections every decoder
+// inherits from it — wrong magic, versions 1 and 2 as the previous layouts
+// wrote them, a future version, a bad body length, truncation, trailing
+// bytes and a corrupt checksum. Each case runs for both formats: study
+// checkpoints and svc_state.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -61,9 +62,45 @@ TEST(SnapshotContainer, RoundTripsAndPinsTheLayout) {
     EXPECT_EQ(head.u32(), body.size());
     EXPECT_EQ(file.substr(14, body.size()), body);
     Reader tail(std::string_view(file).substr(14 + body.size()));
-    EXPECT_EQ(tail.u64(), util::fnv1a(body));
+    EXPECT_EQ(tail.u64(), checksum(body));
     EXPECT_EQ(open_file(file, *format), body) << format->name;
     EXPECT_EQ(open_file(framed(*format, ""), *format), "") << format->name;
+  }
+}
+
+TEST(SnapshotContainer, ChecksumMatchesXxh64ReferenceVectors) {
+  // XXH64 with seed 0, from the xxHash reference implementation.
+  EXPECT_EQ(checksum(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(checksum("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(checksum("abc"), 0x44BC2CF5AD770999ULL);
+}
+
+TEST(SnapshotContainer, ChecksumCatchesTwoFlipsOfOneBitPosition) {
+  // A word-wise FNV-1a, h = (h ^ w) * P, keeps a flip of bit 63 as exactly
+  // bit 63 through every odd multiply, so two such flips in different words
+  // cancel. The frame checksum must see them; so must every single flip and
+  // every pair of flips of the same bit in two words, at each length that
+  // takes another path through the hash (stripes, 8-, 4- and 1-byte tails).
+  for (const std::size_t size : {std::size_t{7}, std::size_t{13},
+                                 std::size_t{31}, std::size_t{64},
+                                 std::size_t{77}}) {
+    std::string body(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      body[i] = static_cast<char>(i * 37 + 11);
+    }
+    const std::uint64_t clean = checksum(body);
+    for (std::size_t i = 0; i < size; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string once = body;
+        once[i] ^= static_cast<char>(1 << bit);
+        EXPECT_NE(checksum(once), clean) << size << " byte " << i;
+        if (i + 8 < size) {
+          once[i + 8] ^= static_cast<char>(1 << bit);
+          EXPECT_NE(checksum(once), clean)
+              << size << " bytes " << i << " and " << i + 8;
+        }
+      }
+    }
   }
 }
 
@@ -148,8 +185,21 @@ std::string version1_snapshot() {
   w.u64(0xFA171);   // fault seed
   w.f64(0.0);       // fault rate
   w.boolean(false);  // tracing
-  w.str(payload);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.raw(payload);
   w.u64(util::fnv1a(payload));
+  return w.take();
+}
+
+// A version-2 file as the previous build wrote it: this frame, with the
+// body's FNV-1a-64 where XXH64 sits now.
+std::string version2_file(const FileFormat& format, std::string_view body) {
+  Writer w;
+  for (const char c : format.magic) w.u8(static_cast<std::uint8_t>(c));
+  w.u16(2);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.raw(body);
+  w.u64(util::fnv1a(body));
   return w.take();
 }
 
@@ -163,56 +213,95 @@ std::string version1_svc_state() {
   return w.take();
 }
 
-TEST(SnapshotContainer, RefusesVersionOneAsThePreviousLayoutsWroteIt) {
-  const std::string v1_snapshot = version1_snapshot();
-  const std::string v1_state = version1_svc_state();
-  expect_refused(v1_snapshot, kSnapshotFile,
-                 "unsupported snapshot format version 1 (this build reads 2)",
-                 "a version-1 snapshot");
-  expect_refused(v1_state, kSvcStateFile,
-                 "unsupported svc state format version 1 (this build reads 2)",
-                 "a version-1 svc_state");
-
-  // The decoders behind both files refuse them the same way.
+// Both decoders behind the frame refuse `snapshot` and `svc_state` with a
+// message containing `needle`: StudySnapshot::decode, and a service that
+// restores `svc_state` from its directory. spfail_scan and spfail_svc map
+// that SnapshotError to exit 2.
+void expect_decoders_refuse(const std::string& snapshot,
+                            const std::string& svc_state,
+                            const std::string& needle,
+                            const std::string& which) {
   try {
-    (void)StudySnapshot::decode(v1_snapshot);
-    ADD_FAILURE() << "a version-1 snapshot decoded";
+    (void)StudySnapshot::decode(snapshot);
+    ADD_FAILURE() << which << " snapshot decoded";
   } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("format version 1 (this build "
-                                         "reads 2)"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << e.what();
   }
   svc::SvcConfig config;
-  config.dir = testutil::scratch_path("container_v1_svc");
+  config.dir = testutil::scratch_path("container_svc");
   std::filesystem::remove_all(config.dir);
   std::filesystem::create_directories(config.dir);
   {
     std::ofstream out(config.dir + "/svc_state",
                       std::ios::binary | std::ios::trunc);
-    out << v1_state;
+    out << svc_state;
   }
   try {
     svc::ServiceLoop loop(config);
     (void)loop.run();
-    ADD_FAILURE() << "a version-1 svc_state restored";
+    ADD_FAILURE() << which << " svc_state restored";
   } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("format version 1 (this build "
-                                         "reads 2)"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << e.what();
   }
   std::filesystem::remove_all(config.dir);
 }
 
-TEST(SnapshotContainer, RefusesVersionThree) {
+TEST(SnapshotContainer, RefusesVersionOneAsThePreviousLayoutsWroteIt) {
+  const std::string v1_snapshot = version1_snapshot();
+  const std::string v1_state = version1_svc_state();
+  expect_refused(v1_snapshot, kSnapshotFile,
+                 "unsupported snapshot format version 1 (this build reads 3)",
+                 "a version-1 snapshot");
+  expect_refused(v1_state, kSvcStateFile,
+                 "unsupported svc state format version 1 (this build reads 3)",
+                 "a version-1 svc_state");
+  expect_decoders_refuse(v1_snapshot, v1_state,
+                         "format version 1 (this build reads 3)",
+                         "a version-1");
+}
+
+TEST(SnapshotContainer, RefusesVersionTwoAsThePreviousBuildWroteIt) {
+  // The start of each version-2 body (the snapshot's meta block, the
+  // service state's counters) under the FNV-1a frame: the version is refused
+  // before any of it is read.
+  Writer snapshot_body;
+  snapshot_body.u8(static_cast<std::uint8_t>(SnapshotKind::Study));
+  snapshot_body.u64(2021);      // fleet seed
+  snapshot_body.f64(0.01);      // scale
+  snapshot_body.u64(20211011);  // study seed
+  Writer state_body;
+  state_body.u64(3);        // completed ticks
+  state_body.u64(1);        // seq counter
+  state_body.u64(2);        // commands consumed
+  state_body.boolean(false);
+  const std::string v2_snapshot =
+      version2_file(kSnapshotFile, snapshot_body.bytes());
+  const std::string v2_state = version2_file(kSvcStateFile, state_body.bytes());
+  expect_refused(v2_snapshot, kSnapshotFile,
+                 "unsupported snapshot format version 2 (this build reads 3)",
+                 "a version-2 snapshot");
+  expect_refused(v2_state, kSvcStateFile,
+                 "unsupported svc state format version 2 (this build reads 3)",
+                 "a version-2 svc_state");
+  expect_decoders_refuse(v2_snapshot, v2_state,
+                         "format version 2 (this build reads 3)",
+                         "a version-2");
+}
+
+TEST(SnapshotContainer, RefusesVersionsTwoAndFour) {
   for (const FileFormat* format : kFormats) {
-    std::string file = framed(*format, small_body());
-    Writer patch;
-    patch.u16(3);
-    file.replace(8, 2, patch.bytes());
-    expect_refused(file, *format, "format version 3 (this build reads 2)",
-                   "version 3");
+    for (const std::uint16_t version : {2, 4}) {
+      std::string file = framed(*format, small_body());
+      Writer patch;
+      patch.u16(version);
+      file.replace(8, 2, patch.bytes());
+      expect_refused(file, *format,
+                     "format version " + std::to_string(version) +
+                         " (this build reads 3)",
+                     "version " + std::to_string(version));
+    }
   }
 }
 

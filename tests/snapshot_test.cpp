@@ -1,16 +1,20 @@
-// The checkpoint wire format: codec primitives, StudySnapshot round-trips,
-// and the decode-side rejections (magic, version, checksum, truncation,
-// trailing bytes) that keep a corrupt or future snapshot from loading, and a
-// seeded mutation lane that drives corrupt payloads into the field decoders.
+// The checkpoint wire format: codec primitives (varints included),
+// StudySnapshot round-trips, the decode-side rejections (magic, version,
+// checksum, truncation, trailing bytes, non-canonical fields) that keep a
+// corrupt or future snapshot from loading, and a seeded mutation lane that
+// drives corrupt payloads into the field decoders.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <string_view>
 
 #include "scratch_path.hpp"
 #include "snapshot/container.hpp"
+#include "snapshot/enums.hpp"
 #include "snapshot/fields.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
@@ -89,6 +93,48 @@ TEST(SnapshotCodec, InvalidBooleanByteThrows) {
   w.u8(2);
   Reader r(w.bytes());
   EXPECT_THROW(r.boolean(), SnapshotError);
+}
+
+TEST(SnapshotCodec, VarintRoundTripsInItsShortestForm) {
+  const std::pair<std::uint64_t, std::size_t> cases[] = {
+      {0, 1}, {127, 1}, {128, 2}, {std::uint64_t{1} << 32, 5},
+      {~std::uint64_t{0}, 10}};
+  for (const auto& [value, width] : cases) {
+    Writer w;
+    w.varint(value);
+    EXPECT_EQ(w.bytes().size(), width) << value;
+    Reader r(w.bytes());
+    EXPECT_EQ(r.varint(), value);
+    EXPECT_TRUE(r.done()) << value;
+  }
+}
+
+TEST(SnapshotCodec, VarintRefusesOverlongAndOversizedForms) {
+  const std::pair<const char*, std::string> cases[] = {
+      {"overlong zero", std::string("\x80\x00", 2)},
+      {"an 11-byte run", std::string(10, '\x80') + '\x01'},
+      {"a 10th byte of 2", std::string(9, '\xFF') + '\x02'},
+      {"truncated", std::string("\x80")},
+      {"empty", std::string()},
+  };
+  for (const auto& [name, bytes] : cases) {
+    Reader r(bytes);
+    EXPECT_THROW(r.varint(), SnapshotError) << name;
+  }
+}
+
+TEST(SnapshotCodec, StringsCarryAVarintLengthCappedAtU32) {
+  Writer w;
+  w.str(std::string(200, 'x'));
+  EXPECT_EQ(w.bytes().size(), 2u + 200u);
+  Reader r(w.bytes());
+  EXPECT_EQ(r.str(), std::string(200, 'x'));
+
+  Writer over;
+  over.varint(std::uint64_t{1} << 32);
+  over.raw(std::string(8, 'x'));
+  Reader too_long(over.bytes());
+  EXPECT_THROW(too_long.str(), SnapshotError);
 }
 
 TEST(SnapshotCodec, NegativeAndLargeF64RoundTrip) {
@@ -365,10 +411,14 @@ std::string frame(std::string_view body) {
   return w.take();
 }
 
+// A mutant that decodes must re-encode to its own bytes: every field has
+// one encoding, so a decoder that accepts another one has patched it up.
 void expect_decodes_or_rejects(const std::string& bytes,
                                const std::string& which) {
   try {
-    (void)StudySnapshot::decode(bytes);
+    const StudySnapshot snap = StudySnapshot::decode(bytes);
+    EXPECT_TRUE(snap.encode() == bytes)
+        << which << " decoded but re-encodes to other bytes";
   } catch (const SnapshotError&) {
     // A clean rejection.
   } catch (const std::exception& e) {
@@ -392,7 +442,7 @@ TEST(SnapshotCodec, RejectsDuplicateOrUnorderedOutcomeAddresses) {
   snap.initial = freeze(std::move(report));
 
   Writer count, lower, higher;
-  count.u64(2);
+  count.varint(2);
   put_outcome(lower, first);
   put_outcome(higher, second);
   const std::string body = body_of(snap.encode());
@@ -411,6 +461,89 @@ TEST(SnapshotCodec, RejectsDuplicateOrUnorderedOutcomeAddresses) {
     EXPECT_THROW(StudySnapshot::decode(frame(mutated)), SnapshotError)
         << name;
   }
+}
+
+// An outcome with no probe results, laid out as put_outcome writes it, with
+// `zigzag` as its zig-zagged probe attempt count.
+std::string outcome_with_attempts(std::uint64_t zigzag) {
+  Writer w;
+  put_address(w, util::IpAddress::v4(11, 0, 0, 1));
+  w.boolean(false);  // no NoMsg result
+  w.boolean(false);  // no BlankMsg result
+  w.u8(encode_enum(scan::AddressVerdict::Refused));
+  w.u8(0);           // no behaviours
+  w.varint(zigzag);  // probe attempts
+  w.varint(0);       // retries used
+  w.boolean(false);  // saw no transient
+  return w.take();
+}
+
+TEST(SnapshotCodec, SmallIntsOutsideIntAreRefused) {
+  // Zig-zag maps int's extremes to 2^32 - 2 and 2^32 - 1; the next two
+  // values are 2^31 and -2^31 - 1, which no int field holds.
+  const std::uint64_t max_zigzag = (std::uint64_t{1} << 32) - 1;
+  for (const auto& [zigzag, attempts] :
+       {std::pair<std::uint64_t, int>{max_zigzag - 1,
+                                      std::numeric_limits<int>::max()},
+        std::pair<std::uint64_t, int>{max_zigzag,
+                                      std::numeric_limits<int>::min()}}) {
+    const std::string bytes = outcome_with_attempts(zigzag);
+    Reader r(bytes);
+    const scan::AddressOutcome outcome = get_outcome(r);
+    EXPECT_EQ(outcome.probe_attempts, attempts);
+    Writer again;
+    put_outcome(again, outcome);
+    EXPECT_EQ(again.bytes(), bytes);
+  }
+  for (const std::uint64_t zigzag : {max_zigzag + 1, max_zigzag + 2}) {
+    const std::string bytes = outcome_with_attempts(zigzag);
+    Reader r(bytes);
+    EXPECT_THROW(get_outcome(r), SnapshotError) << zigzag;
+  }
+
+  // A trace frame's reply code stays a fixed-width i64, range-checked.
+  net::Frame frame;
+  Writer w;
+  put_frame(w, frame);
+  std::string bytes = w.take();
+  // time, lane, three empty strings and two enum bytes precede the code.
+  constexpr std::size_t kCodeAt = 8 + 8 + 1 + 1 + 1 + 1 + 1;
+  Writer code;
+  code.i64(std::int64_t{std::numeric_limits<int>::max()} + 1);
+  bytes.replace(kCodeAt, 8, code.bytes());
+  Reader r(bytes);
+  EXPECT_THROW(get_frame(r), SnapshotError);
+}
+
+TEST(SnapshotCodec, NamesReadBackExactlyAndCapitalsAreRefused) {
+  // put_name writes a name's text, which is lowercase: a capital would
+  // decode to a name that re-encodes differently. A trailing dot is a
+  // trailing empty label, and reads back as one.
+  const std::string name = "probe.example.org";
+  scan::ProbeResult result;
+  result.mail_from_domain = dns::Name::lenient(name);
+  Writer w;
+  put_probe_result(w, result);
+  const std::string bytes = w.take();
+  const std::size_t at = bytes.find(name);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(static_cast<std::size_t>(bytes[at - 1]), name.size());
+
+  std::string dotted = bytes;
+  dotted.replace(at - 1, name.size() + 1,
+                 static_cast<char>(name.size() + 1) + name + ".");
+  for (const std::string& good : {bytes, dotted}) {
+    Reader r(good);
+    const scan::ProbeResult back = get_probe_result(r);
+    Writer again;
+    put_probe_result(again, back);
+    EXPECT_EQ(again.bytes(), good);
+  }
+
+  std::string capital = bytes;
+  capital[at] = 'P';
+  Reader r(capital);
+  EXPECT_THROW(get_probe_result(r), SnapshotError);
 }
 
 TEST(SnapshotMutation, SeededByteFlipsDecodeOrReject) {

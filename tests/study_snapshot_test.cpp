@@ -68,7 +68,7 @@ struct MeteredStudy {
 
 TEST(SnapshotGolden, StudyCheckpointBytesArePinned) {
   // fnv1a and length of the encoded checkpoint after begin() and after round
-  // 11 of a metered scale-0.01 study, pinned at format version 2. If these
+  // 11 of a metered scale-0.01 study, pinned at format version 3. If these
   // move, the checkpoint format changed. The digests differ by thread count:
   // the hosts section records greylist first-contact times, which each
   // shard takes from its own sim clock lane.
@@ -77,11 +77,11 @@ TEST(SnapshotGolden, StudyCheckpointBytesArePinned) {
     std::uint64_t begin_digest;
     std::uint64_t round11_digest;
   };
-  constexpr std::size_t kBeginLength = 476979;
-  constexpr std::size_t kRound11Length = 498594;
+  constexpr std::size_t kBeginLength = 245443;
+  constexpr std::size_t kRound11Length = 266832;
   for (const Golden& golden :
-       {Golden{1, 6877201809705422584ULL, 13754295466369072171ULL},
-        Golden{4, 17038815240261992118ULL, 17933948947979029845ULL}}) {
+       {Golden{1, 4901539373314244348ULL, 4265647390494601451ULL},
+        Golden{4, 3830166697464971803ULL, 17405990845701166534ULL}}) {
     MeteredStudy run(golden.threads);
     longitudinal::Study::State state = run.begin();
     const std::string at_begin = run.capture(state).encode();
@@ -233,10 +233,10 @@ TEST(SnapshotShared, ConcurrentFirstEncodesAgree) {
 TEST(SnapshotShared, EmptySnapshotEncodesAnEmptyReport) {
   // A default-constructed snapshot has no report and encodes exactly what
   // one holding an empty report does: length and fnv1a pinned at format
-  // version 2.
+  // version 3.
   const std::string bytes = snapshot::StudySnapshot{}.encode();
-  EXPECT_EQ(bytes.size(), 485u);
-  EXPECT_EQ(util::fnv1a(bytes), 10233303614190604095ULL);
+  EXPECT_EQ(bytes.size(), 468u);
+  EXPECT_EQ(util::fnv1a(bytes), 3712191090352955113ULL);
   snapshot::StudySnapshot with_empty;
   with_empty.initial = snapshot::freeze(scan::CampaignReport{});
   EXPECT_EQ(with_empty.encode(), bytes);

@@ -5,7 +5,10 @@
 #      mid-job (after a job checkpoint, before the service state save —
 #      the torn-tick race) -> exit 42
 #   3. restart with identical flags -> drains
-# Every report, the event log, and both metric files from the killed+
+#   4. steps 2 and 3 again in a fresh state dir, killed after a tick's event
+#      and metrics lines were appended but before its service state save —
+#      the logs are then AHEAD of svc_state and the restart cuts them back
+# Every report, the event log, and both metric files from each killed+
 # restarted service must be byte-identical to the uninterrupted baseline.
 #
 # Expects: -DSPFAIL_SVC=<path to spfail_svc> -DWORK_DIR=<scratch dir>
@@ -81,6 +84,45 @@ foreach(pair
     RESULT_VARIABLE differs)
   if(differs)
     message(FATAL_ERROR "${lhs} and ${rhs} differ: the restarted service is not byte-identical")
+  endif()
+endforeach()
+
+# 4. Killed on tick 5 right after the log appends, then restarted, into a
+# fresh state dir and metric files.
+file(REMOVE "${WORK_DIR}/metrics.jsonl" "${WORK_DIR}/metrics.jsonl.prom")
+set(ENV{SPFAIL_SVC_TEST_KILL} "5:logs")
+execute_process(
+  COMMAND "${SPFAIL_SVC}" --dir logs ${FLAGS}
+  WORKING_DIRECTORY "${WORK_DIR}"
+  OUTPUT_QUIET ERROR_QUIET
+  RESULT_VARIABLE rc)
+unset(ENV{SPFAIL_SVC_TEST_KILL})
+if(NOT rc EQUAL 42)
+  message(FATAL_ERROR "logs test kill did not fire (exit ${rc}, expected 42)")
+endif()
+execute_process(
+  COMMAND "${SPFAIL_SVC}" --dir logs ${FLAGS}
+  WORKING_DIRECTORY "${WORK_DIR}"
+  OUTPUT_QUIET ERROR_QUIET
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "service restarted after the logs kill failed (exit ${rc})")
+endif()
+
+foreach(pair
+    "base/alpha.report;logs/alpha.report"
+    "base/beta.report;logs/beta.report"
+    "base/gamma.report;logs/gamma.report"
+    "base/events.log;logs/events.log"
+    "metrics_base.jsonl;metrics.jsonl"
+    "metrics_base.prom;metrics.jsonl.prom")
+  list(GET pair 0 lhs)
+  list(GET pair 1 rhs)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files "${WORK_DIR}/${lhs}" "${WORK_DIR}/${rhs}"
+    RESULT_VARIABLE differs)
+  if(differs)
+    message(FATAL_ERROR "${lhs} and ${rhs} differ: the service restarted after the logs kill is not byte-identical")
   endif()
 endforeach()
 

@@ -5,6 +5,7 @@
 // point restarts to byte-identical final outputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -466,7 +467,9 @@ TEST(SvcServiceDeterminism, ReportsInvariantAcrossJobThreadCounts) {
 }
 
 // Kill the service at every hook point of several ticks; each restart must
-// finish with byte-identical reports, event log, and metric files.
+// finish with byte-identical reports, event log, and metric files. A kill
+// after the log append leaves the logs a tick ahead of svc_state (at tick 0,
+// with no svc_state at all), so the restart must cut them back.
 TEST(SvcServiceRestart, KillAnywhereRestartsByteIdentical) {
   using KP = svc::KillPoint;
   struct Script {
@@ -485,8 +488,10 @@ TEST(SvcServiceRestart, KillAnywhereRestartsByteIdentical) {
        2,
        {"a", "b"},
        {{0, KP::AfterAdmission},
+        {0, KP::AfterLogAppend},
         {1, KP::AfterJobCheckpoint},
         {2, KP::AfterStateSave},
+        {3, KP::AfterLogAppend},
         {4, KP::AfterJobCheckpoint},
         {4, KP::AfterReportWrite},
         {5, KP::AfterStateSave}}},
@@ -500,8 +505,10 @@ TEST(SvcServiceRestart, KillAnywhereRestartsByteIdentical) {
        3,
        {"a", "b", "c"},
        {{1, KP::AfterJobCheckpoint},
+        {2, KP::AfterLogAppend},
         {3, KP::AfterJobCheckpoint},
-        {4, KP::AfterReportWrite}}},
+        {4, KP::AfterReportWrite},
+        {4, KP::AfterLogAppend}}},
   };
 
   for (const Script& script : scripts) {
@@ -791,6 +798,74 @@ TEST(SvcService, MaxTicksBoundsAnIdleService) {
   EXPECT_EQ(loop.ticks(), 3u);
 }
 
+// --- bounded state: svc_state commits log lengths, not log lines ---
+
+TEST(SvcState, StateSizeIsFlatAcrossTicks) {
+  // An idle service appends a metrics line every tick; the state file must
+  // not grow with them.
+  const std::string dir = scratch_dir("flat");
+  svc::SvcConfig config = small_config(dir);
+  config.metrics_path = dir + "/metrics.jsonl";
+  write_file(config.control, "# idle\n");
+  std::vector<std::uintmax_t> sizes;
+  for (const std::uint64_t ticks : {50, 500}) {
+    config.max_ticks = ticks;
+    svc::ServiceLoop loop(config);
+    ASSERT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks);
+    sizes.push_back(std::filesystem::file_size(config.dir + "/svc_state"));
+  }
+  EXPECT_EQ(sizes[0], sizes[1]);
+  const std::string jsonl = read_file(config.metrics_path);
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 500);
+}
+
+TEST(SvcServiceRestart, LogShorterThanCommittedIsRefused) {
+  // svc_state commits each log's length; a log that lost committed bytes,
+  // or a restart that no longer names the metrics file, cannot continue it.
+  const std::string dir = scratch_dir("short_log");
+  svc::SvcConfig config = small_config(dir);
+  config.metrics_path = dir + "/metrics.jsonl";
+  config.max_ticks = 2;
+  write_file(config.control,
+             std::string("submit a ") + kTinyScale + "\ndrain\n");
+  {
+    svc::ServiceLoop loop(config);
+    ASSERT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks);
+  }
+  const std::string events = read_file(config.dir + "/events.log");
+  const std::string jsonl = read_file(config.metrics_path);
+  ASSERT_FALSE(events.empty());
+  ASSERT_FALSE(jsonl.empty());
+
+  const auto expect_refused = [&config](const std::string& which) {
+    svc::ServiceLoop loop(config);
+    EXPECT_THROW(loop.run(), snapshot::SnapshotError) << which;
+  };
+  write_file(config.dir + "/events.log", events.substr(0, events.size() - 1));
+  expect_refused("short event log");
+  std::filesystem::remove(config.dir + "/events.log");
+  expect_refused("missing event log");
+  write_file(config.dir + "/events.log", events);
+  write_file(config.metrics_path, jsonl.substr(0, jsonl.size() - 1));
+  expect_refused("short metrics JSONL");
+  write_file(config.metrics_path, jsonl);
+  config.metrics_path.clear();
+  expect_refused("metrics off");
+
+  // Whole logs restore, and bytes past the committed length are cut.
+  config.metrics_path = dir + "/metrics.jsonl";
+  write_file(config.dir + "/events.log", events + "tick 2: torn\n");
+  {
+    svc::ServiceLoop loop(config);
+    ASSERT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks);
+    EXPECT_EQ(loop.events().size(),
+              static_cast<std::size_t>(
+                  std::count(events.begin(), events.end(), '\n')));
+  }
+  EXPECT_EQ(read_file(config.dir + "/events.log"), events);
+  EXPECT_EQ(read_file(config.metrics_path), jsonl);
+}
+
 // --- mutation lane: corrupt svc_state payloads reach restore's decoders --
 //
 // Every case must restore or throw one of the three errors spfail_svc maps
@@ -811,11 +886,17 @@ std::string test_scratch_dir(const std::string& name) {
       testing::UnitTest::GetInstance()->current_test_info()->name());
 }
 
+// A saved service directory: svc_state and the event log it commits.
+struct SavedState {
+  std::string state;
+  std::string events;
+};
+
 // A real multi-job state: three jobs (one with explicit nets, one
 // recurring) stopped after two ticks, with admission, registry and event
-// sections filled in.
-const std::string& multi_job_state() {
-  static const std::string state = [] {
+// log filled in.
+const SavedState& multi_job_saved() {
+  static const SavedState saved = [] {
     const std::string dir = test_scratch_dir("mutation_base");
     svc::SvcConfig config = small_config(dir);
     config.max_ticks = 2;
@@ -825,20 +906,25 @@ const std::string& multi_job_state() {
                    kTinyScale + " recur 3 runs 2\n");
     svc::ServiceLoop loop(config);
     EXPECT_EQ(loop.run(), svc::ServiceLoop::Status::MaxTicks);
-    return read_file(config.dir + "/svc_state");
+    return SavedState{read_file(config.dir + "/svc_state"),
+                      read_file(config.dir + "/events.log")};
   }();
-  return state;
+  return saved;
 }
 
-// Restores `state` in a scratch service directory. max_ticks is below the
-// saved tick counter, so run() returns straight after the restore without
-// running a job.
+const std::string& multi_job_state() { return multi_job_saved().state; }
+
+// Restores `state` in a scratch service directory, beside a fresh copy of
+// the event log it was saved with (restore cuts the log to the length the
+// state commits). max_ticks is below the saved tick counter, so run()
+// returns straight after the restore without running a job.
 svc::ServiceLoop::Status restore(const std::string& state) {
   static const std::string dir = test_scratch_dir("mutation_case");
   svc::SvcConfig config = small_config(dir);
   config.max_ticks = 1;
   std::filesystem::create_directories(config.dir);
   write_file(config.dir + "/svc_state", state);
+  write_file(config.dir + "/events.log", multi_job_saved().events);
   svc::ServiceLoop loop(config);
   return loop.run();
 }
