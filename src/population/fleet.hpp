@@ -106,11 +106,11 @@ class Fleet : public scan::HostRegistry {
   std::size_t address_count() const noexcept { return specs_.size(); }
 
   // The intern table behind every DomainRecord view — exposed for the
-  // snapshot layer's integrity section and the memory bench's stats.
+  // snapshot layer's integrity section.
   const util::Interner& strings() const noexcept { return strings_; }
 
   // The fleet-wide shared SPF record-parse memo every host's evaluators read
-  // through (DESIGN.md §16); exposed for the contention bench's stats.
+  // through (DESIGN.md §16); exposed for perfbench's cache metrics.
   const spf::SharedRecordCache& record_cache() const noexcept {
     return *record_cache_;
   }
@@ -126,7 +126,7 @@ class Fleet : public scan::HostRegistry {
   // flaky-RNG cursor, patch/blacklist flags) so the next find_host rebuilds
   // it mid-conversation. No-op for an address that is not live.
   void release_host(const util::IpAddress& address) override;
-  // How many MailHosts are currently materialised (bench/test observability).
+  // How many MailHosts are currently materialised (test observability).
   std::size_t live_hosts() const;
 
   // --- scenario staging (populated only when config().mix stages senders;

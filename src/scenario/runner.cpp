@@ -235,8 +235,10 @@ ScenarioReport run_scenario(population::Fleet& fleet, const ScenarioSpec& spec,
   if (receivers.empty() || spec.focus == Focus::Baseline) return report;
 
   // Deterministic receiver choice: an FNV hash of (seed, domain, flow
-  // class) over the sorted receiver list, probing past receivers the study
-  // blacklisted (they'd 554 every dialog and measure nothing).
+  // class) over the sorted receiver list, probing past blacklisted
+  // receivers (they'd 554 every dialog and measure nothing). Only a study
+  // blacklists hosts, so the fresh fleet run_scenarios builds has none; the
+  // probe guards a caller that passes a fleet a study has run on.
   const auto pick_receiver = [&](std::string_view domain,
                                  FlowClass flow_class) -> mta::MailHost* {
     std::size_t index = static_cast<std::size_t>(

@@ -13,7 +13,8 @@
 //   * a mail-flow topology — which flows the runner drives (src/scenario/
 //     runner.hpp selects domains by the spec's Focus),
 //   * an expected-outcome oracle — rate windows the measured outcome table
-//     must land in (bench_scenarios enforces these).
+//     must land in (ScenarioRunner.EveryBuiltinLandsInsideItsOracle
+//     enforces these).
 //
 // Specs compose: `--scenario forwarding,misconfig` resolves to one merged
 // mix (resolve_mix), and each spec's own outcome table is still reported

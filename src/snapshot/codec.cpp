@@ -5,6 +5,14 @@
 
 namespace spfail::snapshot {
 
+int as_int(std::int64_t v) {
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw SnapshotError("integer " + std::to_string(v) + " outside int");
+  }
+  return static_cast<int>(v);
+}
+
 void Writer::f64(double v) {
   static_assert(sizeof(double) == sizeof(std::uint64_t));
   std::uint64_t bits = 0;

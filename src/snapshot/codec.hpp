@@ -24,6 +24,10 @@ class SnapshotError : public std::runtime_error {
       : std::runtime_error("snapshot: " + what) {}
 };
 
+// A decoded int field: a value outside int was not written by this codec,
+// and truncating it would re-encode differently, so it throws SnapshotError.
+int as_int(std::int64_t v);
+
 class Writer {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
@@ -75,6 +79,8 @@ class Reader {
   std::uint32_t u32() { return static_cast<std::uint32_t>(unsigned_le(4)); }
   std::uint64_t u64() { return unsigned_le(8); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  // An i64 field that holds an int (Writer::i64 of an int); see as_int.
+  int i64_int() { return as_int(i64()); }
   double f64();
   bool boolean();
   // Throws on more than 10 bytes, a 10th byte above 1 (past 64 bits), or an

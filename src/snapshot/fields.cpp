@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -53,16 +52,6 @@ void put_small_int(Writer& w, int v) {
   const auto wide = static_cast<std::int64_t>(v);
   w.varint((static_cast<std::uint64_t>(wide) << 1) ^
            static_cast<std::uint64_t>(wide >> 63));
-}
-
-// A decoded int field: a value outside int was not written by this codec,
-// and truncating it would re-encode differently.
-int as_int(std::int64_t v) {
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    throw SnapshotError("integer " + std::to_string(v) + " outside int");
-  }
-  return static_cast<int>(v);
 }
 
 int get_small_int(Reader& r) {
@@ -270,7 +259,7 @@ net::Frame get_frame(Reader& r) {
   frame.direction = decode_direction(r.u8());
   frame.kind = decode_frame_kind(r.u8());
   frame.verb = r.str();
-  frame.code = as_int(r.i64());
+  frame.code = r.i64_int();
   frame.text = r.str();
   frame.qname = r.str();
   frame.qtype = r.str();

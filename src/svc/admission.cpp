@@ -114,11 +114,11 @@ void AdmissionController::encode(snapshot::Writer& w) const {
 
 AdmissionController AdmissionController::decode(snapshot::Reader& r) {
   AdmissionConfig config;
-  config.bucket_capacity = static_cast<int>(r.i64());
-  config.bucket_refill = static_cast<int>(r.i64());
-  config.breaker_threshold = static_cast<int>(r.i64());
-  config.breaker_cooldown = static_cast<int>(r.i64());
-  config.defer_budget = static_cast<int>(r.i64());
+  config.bucket_capacity = r.i64_int();
+  config.bucket_refill = r.i64_int();
+  config.breaker_threshold = r.i64_int();
+  config.breaker_cooldown = r.i64_int();
+  config.defer_budget = r.i64_int();
   AdmissionController controller(config);
   controller.breaker_trips_ = r.u64();
   const std::uint32_t count = r.u32();
@@ -130,9 +130,9 @@ AdmissionController AdmissionController::decode(snapshot::Reader& r) {
     }
     last_net = net;
     NetworkState state;
-    state.tokens = static_cast<int>(r.i64());
-    state.consecutive_deferrals = static_cast<int>(r.i64());
-    state.cooldown_left = static_cast<int>(r.i64());
+    state.tokens = r.i64_int();
+    state.consecutive_deferrals = r.i64_int();
+    state.cooldown_left = r.i64_int();
     if (state.tokens < 0 || state.tokens > config.bucket_capacity ||
         state.consecutive_deferrals < 0 || state.cooldown_left < 0 ||
         state.cooldown_left > config.breaker_cooldown) {

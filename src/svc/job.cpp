@@ -76,11 +76,11 @@ JobSpec JobSpec::decode(snapshot::Reader& r) {
   spec.scale = r.f64();
   spec.seed = r.u64();
   spec.study_seed = r.u64();
-  spec.threads = static_cast<int>(r.i64());
+  spec.threads = r.i64_int();
   spec.scenario = r.str();
   spec.fault_rate = r.f64();
   spec.fault_seed = r.u64();
-  spec.priority = static_cast<int>(r.i64());
+  spec.priority = r.i64_int();
   spec.recur = r.u64();
   spec.runs = r.u32();
   const std::uint32_t net_count = r.u32();

@@ -617,7 +617,7 @@ void ServiceLoop::restore_state() {
     rec.submit_tick = r.u64();
     rec.admit_tick = r.u64();
     rec.next_run_tick = r.u64();
-    rec.defer_budget_left = static_cast<int>(r.i64());
+    rec.defer_budget_left = r.i64_int();
     rec.deferrals = r.u64();
     rec.force_runs = r.u64();
     jobs_.push_back(std::move(rec));

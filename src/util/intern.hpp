@@ -53,8 +53,8 @@ class Interner {
   std::size_t size() const noexcept { return entries_.size(); }
   bool empty() const noexcept { return entries_.empty(); }
 
-  // Allocation-shape statistics for the memory bench: how often intern() was
-  // answered from the table vs. had to append, and the distinct byte volume.
+  // Allocation-shape statistics: how often intern() was answered from the
+  // table vs. had to append, and the distinct byte volume.
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t distinct_bytes() const noexcept { return distinct_bytes_; }

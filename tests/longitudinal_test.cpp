@@ -355,6 +355,27 @@ TEST_F(StudyTest, RemeasurableCohortExistsAndResolves) {
             report_->remeasurable_addresses / 2);
 }
 
+TEST_F(StudyTest, EvictionKeepsLiveHostsWithinTheCohort) {
+  // The initial campaign evicts every host it probes (DESIGN.md §14), and
+  // the rounds touch only the addresses the study re-measures — the
+  // vulnerable and re-measurable ones — so at every phase boundary the live
+  // hosts number no more than that cohort, however many the fleet holds.
+  population::FleetConfig config;
+  config.scale = 0.01;
+  population::Fleet fleet(config);
+  Study study(fleet);
+  Study::State state = study.begin();
+  const std::size_t cohort =
+      state.vulnerable_addresses.size() + state.remeasurable.size();
+  ASSERT_GT(cohort, 0u);
+  ASSERT_LT(cohort, fleet.address_count());
+  EXPECT_LE(fleet.live_hosts(), cohort) << "after begin()";
+  study.run_round(state);
+  EXPECT_LE(fleet.live_hosts(), cohort) << "after one round";
+  study.finish(std::move(state));
+  EXPECT_LE(fleet.live_hosts(), cohort) << "after finish()";
+}
+
 TEST_F(StudyTest, TracksCoverVulnerableDomainsOnly) {
   for (const auto& track : report_->tracks) {
     EXPECT_FALSE(track.vulnerable_addresses.empty());

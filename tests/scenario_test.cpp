@@ -176,6 +176,32 @@ TEST(ScenarioRunner, BaselineMeasuresNothing) {
   EXPECT_TRUE(report.satisfies(spec.oracle));  // all-zero windows
 }
 
+// The oracle gate over every built-in, alignment included: each spec's own
+// mix at scale 0.02 (seed 2021, default RunnerOptions) must land inside its
+// oracle windows, and the baseline control must stage and measure nothing.
+TEST(ScenarioRunner, EveryBuiltinLandsInsideItsOracle) {
+  for (const scenario::ScenarioSpec& spec : scenario::builtin_scenarios()) {
+    population::FleetConfig config = small_fleet_config(spec.mix);
+    config.scale = 0.02;
+    population::Fleet fleet(config);
+    const scenario::ScenarioReport report = scenario::run_scenario(fleet, spec);
+    if (spec.focus == scenario::Focus::Baseline) {
+      EXPECT_EQ(report.domains_staged, 0u);
+      EXPECT_EQ(
+          report.legit.flows + report.forwarded.flows + report.spoof.flows,
+          0u);
+    } else {
+      EXPECT_GT(report.domains_staged, 0u) << spec.name;
+    }
+    EXPECT_TRUE(report.satisfies(spec.oracle))
+        << spec.name << ": spoof_delivered=" << report.spoof_delivered_rate()
+        << " spoof_rejected=" << report.spoof_rejected_rate()
+        << " legit_rejected=" << report.legit_rejected_rate()
+        << " permerror=" << report.permerror_rate() << " over "
+        << report.domains_staged << " domains";
+  }
+}
+
 TEST(ScenarioRunner, MaxDomainsTruncatesDeterministically) {
   const scenario::ScenarioSpec& spec = *scenario::find_scenario("misconfig");
   population::Fleet full(small_fleet_config(spec.mix));

@@ -1012,6 +1012,47 @@ TEST(SvcStateMutation, InflatedNetCountIsRejectedBeforeReserving) {
                snapshot::SnapshotError);
 }
 
+TEST(SvcStateMutation, IntFieldPastIntIsRejected) {
+  // Walk to two int fields written as i64: the first job's threads, and
+  // the admission controller's bucket capacity after the last job record.
+  const std::string payload = state_payload(multi_job_state());
+  // tick, seq counter, commands consumed, drain; returns the job count.
+  const auto skip_header = [](snapshot::Reader& r) {
+    r.u64();
+    r.u64();
+    r.u64();
+    r.boolean();
+    return r.u32();
+  };
+  snapshot::Reader first(payload);
+  ASSERT_EQ(skip_header(first), 3u);
+  first.str();  // id
+  for (int i = 0; i < 3; ++i) first.u64();  // scale, seed, study seed
+  const std::size_t threads_at = payload.size() - first.remaining();
+
+  snapshot::Reader r(payload);
+  const std::uint32_t job_count = skip_header(r);
+  for (std::uint32_t i = 0; i < job_count; ++i) {
+    svc::JobSpec::decode(r);
+    r.u64();  // seq
+    r.u8();   // phase
+    r.u32();  // run
+    for (int f = 0; f < 7; ++f) r.u64();  // rounds, ticks, budget, counts
+  }
+  const std::size_t capacity_at = payload.size() - r.remaining();
+  ASSERT_EQ(r.i64(), svc::AdmissionConfig{}.bucket_capacity);
+
+  // Flipping a bit of the high word moves the value 2^32 away: outside
+  // int, where a truncating decode would read the field back unchanged
+  // and the state would not re-encode to its own bytes.
+  for (const std::size_t at : {threads_at, capacity_at}) {
+    std::string mutated = payload;
+    mutated[at + 4] ^= 1;
+    EXPECT_THROW(restore(reframe_state(mutated)), snapshot::SnapshotError)
+        << "high word of the i64 at " << at;
+  }
+}
+
 TEST(SvcStateMutation, SmallestJobSpecEncodingIsTheDecodeBound) {
   // The bound restore divides by must never exceed a real encoding, or a
   // valid state would be refused.
